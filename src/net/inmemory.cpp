@@ -173,10 +173,12 @@ InMemoryNetwork::~InMemoryNetwork() { join_all(); }
 
 void InMemoryNetwork::serve(const std::string& address, AcceptHandler handler,
                             const LinkOptions& options, ServeMode mode) {
+  Listener listener;
+  listener.handler = std::move(handler);
+  listener.options = options;
+  listener.mode = mode;
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!listeners_
-           .emplace(address, Listener{std::move(handler), options, mode})
-           .second) {
+  if (!listeners_.emplace(address, std::move(listener)).second) {
     throw Error("inmemory: address already in use: " + address);
   }
 }

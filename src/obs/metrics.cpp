@@ -36,13 +36,13 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   }
 }
 
-void Histogram::observe(double value) noexcept {
+void Histogram::observe(double value, std::uint64_t count) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const std::size_t bucket =
       static_cast<std::size_t>(it - bounds_.begin());  // bounds_.size() = +Inf
   Shard& s = shards_[detail::shard_index()];
-  s.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  detail::atomic_add(s.sum, value);
+  s.buckets[bucket].fetch_add(count, std::memory_order_relaxed);
+  detail::atomic_add(s.sum, value * static_cast<double>(count));
 }
 
 std::uint64_t Histogram::count() const noexcept {

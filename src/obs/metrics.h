@@ -104,7 +104,10 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void observe(double value) noexcept;
+  void observe(double value) noexcept { observe(value, 1); }
+  /// `count` observations of the same value: one bucket add and one sum
+  /// add, instead of `count` of each.
+  void observe(double value, std::uint64_t count) noexcept;
 
   const std::vector<double>& bounds() const { return bounds_; }
   std::uint64_t count() const noexcept;

@@ -626,9 +626,7 @@ std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
         std::chrono::steady_clock::now() - start);
     const double per_frame_us = static_cast<double>(elapsed.count()) / 1000.0 /
                                 static_cast<double>(packets.size());
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      latency.observe(per_frame_us);
-    }
+    latency.observe(per_frame_us, packets.size());
   }
   return outcomes;
 }

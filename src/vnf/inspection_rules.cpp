@@ -1,7 +1,8 @@
 #include "vnf/inspection_rules.h"
 
-#include <deque>
-#include <map>
+#include <algorithm>
+#include <array>
+#include <string>
 
 #include "common/error.h"
 #include "pki/tlv.h"
@@ -71,57 +72,117 @@ RuleSet RuleSet::decode(ByteView blob) {
 }
 
 // ---------------------------------------------------------------------------
-// RuleMatcher (Aho-Corasick)
+// RuleMatcher (Aho-Corasick, dense DFA)
 // ---------------------------------------------------------------------------
 
-struct RuleMatcher::Node {
-  std::map<std::uint8_t, int> next;
-  int fail = 0;
-  std::vector<std::size_t> outputs;  // rule indices ending at this node
-};
-
 RuleMatcher::RuleMatcher(const RuleSet& rules) : rules_(rules.rules()) {
-  nodes_.emplace_back();  // root
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
-    int node = 0;
-    for (const std::uint8_t byte : rules_[r].pattern) {
-      const auto it = nodes_[node].next.find(byte);
-      if (it != nodes_[node].next.end()) {
-        node = it->second;
-      } else {
-        nodes_.emplace_back();
-        const int child = static_cast<int>(nodes_.size() - 1);
-        nodes_[node].next.emplace(byte, child);
-        node = child;
-      }
-    }
-    nodes_[node].outputs.push_back(r);
+  // Byte classes. Bytes that occur in no pattern share class 0; when every
+  // byte value occurs there is no such byte and numbering starts at 0, so a
+  // class always fits in a byte.
+  std::array<bool, 256> used{};
+  for (const InspectionRule& rule : rules_) {
+    for (const std::uint8_t byte : rule.pattern) used[byte] = true;
   }
-  // BFS failure links; merge suffix outputs so one state reports every
-  // pattern ending at it.
-  std::deque<int> queue;
-  for (const auto& [byte, child] : nodes_[0].next) queue.push_back(child);
-  while (!queue.empty()) {
-    const int node = queue.front();
-    queue.pop_front();
-    for (const auto& [byte, child] : nodes_[node].next) {
-      int fail = nodes_[node].fail;
-      while (fail != 0 && !nodes_[fail].next.count(byte)) {
-        fail = nodes_[fail].fail;
+  classes_ = std::count(used.begin(), used.end(), true) == 256 ? 0 : 1;
+  for (std::size_t byte = 0; byte < used.size(); ++byte) {
+    if (used[byte]) class_of_[byte] = static_cast<std::uint8_t>(classes_++);
+  }
+
+  // Trie states = root + distinct non-empty pattern prefixes. Counting them
+  // from the sorted patterns' common prefixes checks the table bound before
+  // any table memory exists.
+  std::vector<const Bytes*> sorted;
+  sorted.reserve(rules_.size());
+  for (const InspectionRule& rule : rules_) sorted.push_back(&rule.pattern);
+  // Lexicographic order via mismatch: GCC 12 false-positives
+  // (-Wstringop-overread) on the memcmp behind vector's operator<=>.
+  std::sort(sorted.begin(), sorted.end(), [](const Bytes* a, const Bytes* b) {
+    const auto [ia, ib] =
+        std::mismatch(a->begin(), a->end(), b->begin(), b->end());
+    return ib != b->end() && (ia == a->end() || *ia < *ib);
+  });
+  std::size_t states = 1;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    std::size_t common = 0;
+    if (i > 0) {
+      const Bytes& prev = *sorted[i - 1];
+      common = static_cast<std::size_t>(
+          std::mismatch(prev.begin(), prev.end(), sorted[i]->begin(),
+                        sorted[i]->end())
+              .first -
+          prev.begin());
+    }
+    states += sorted[i]->size() - common;
+  }
+  if (states > kMaxTableBytes / (classes_ * sizeof(std::uint32_t))) {
+    throw Error("inspection rules: matcher table of " +
+                std::to_string(states) + " states x " +
+                std::to_string(classes_) + " classes exceeds " +
+                std::to_string(kMaxTableBytes) + " bytes");
+  }
+
+  // Trie, in creation order (root = 0): an entry of 0 means "no edge", as
+  // no edge leads back to the root.
+  std::vector<std::uint32_t> trie(states * classes_, 0);
+  std::vector<std::vector<std::uint32_t>> outs(states);
+  std::uint32_t created = 1;
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
+    std::uint32_t state = 0;
+    for (const std::uint8_t byte : rules_[r].pattern) {
+      std::uint32_t& next = trie[state * classes_ + class_of_[byte]];
+      if (next == 0) next = created++;
+      state = next;
+    }
+    outs[state].push_back(static_cast<std::uint32_t>(r));
+  }
+
+  // BFS: a missing edge takes the failure state's (already complete) move,
+  // so no failure walk survives to match time. A state also reports every
+  // pattern ending at its failure state.
+  std::vector<std::uint32_t> fail(states, 0);
+  std::vector<std::uint32_t> order{0};
+  order.reserve(states);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::uint32_t state = order[i];
+    std::uint32_t* row = &trie[state * classes_];
+    const std::uint32_t* fail_row = &trie[fail[state] * classes_];
+    for (std::uint32_t c = 0; c < classes_; ++c) {
+      const std::uint32_t via_fail = state == 0 ? 0 : fail_row[c];
+      if (row[c] == 0) {
+        row[c] = via_fail;
+        continue;
       }
-      const auto it = nodes_[fail].next.find(byte);
-      if (it != nodes_[fail].next.end() && it->second != child) {
-        nodes_[child].fail = it->second;
-      }
-      const auto& inherited = nodes_[nodes_[child].fail].outputs;
-      nodes_[child].outputs.insert(nodes_[child].outputs.end(),
-                                   inherited.begin(), inherited.end());
-      queue.push_back(child);
+      const std::uint32_t child = row[c];
+      fail[child] = via_fail;
+      outs[child].insert(outs[child].end(), outs[via_fail].begin(),
+                         outs[via_fail].end());
+      order.push_back(child);
+    }
+  }
+
+  // Renumber in BFS order with every output state last, and store each
+  // entry as the target's pre-multiplied row offset.
+  std::vector<std::uint32_t> renumber(states);
+  std::uint32_t next_id = 0;
+  for (const std::uint32_t state : order) {
+    if (outs[state].empty()) renumber[state] = next_id++;
+  }
+  first_output_ = next_id * classes_;
+  for (const std::uint32_t state : order) {
+    if (outs[state].empty()) continue;
+    renumber[state] = next_id++;
+    output_begin_.push_back(static_cast<std::uint32_t>(outputs_.size()));
+    outputs_.insert(outputs_.end(), outs[state].begin(), outs[state].end());
+  }
+  output_begin_.push_back(static_cast<std::uint32_t>(outputs_.size()));
+  table_.resize(trie.size());
+  for (std::uint32_t state = 0; state < states; ++state) {
+    for (std::uint32_t c = 0; c < classes_; ++c) {
+      table_[renumber[state] * classes_ + c] =
+          renumber[trie[state * classes_ + c]] * classes_;
     }
   }
 }
-
-RuleMatcher::~RuleMatcher() = default;
 
 std::optional<std::size_t> RuleMatcher::match(ByteView payload,
                                               std::uint16_t dst_port,
@@ -145,15 +206,15 @@ std::optional<std::size_t> RuleMatcher::match(ByteView payload,
     }
   };
 
-  int node = 0;
+  const std::uint32_t* const table = table_.data();
+  std::uint32_t state = 0;
   for (const std::uint8_t byte : payload) {
-    while (node != 0 && !nodes_[node].next.count(byte)) {
-      node = nodes_[node].fail;
-    }
-    const auto it = nodes_[node].next.find(byte);
-    node = it != nodes_[node].next.end() ? it->second : 0;
-    for (const std::size_t rule_index : nodes_[node].outputs) {
-      consider(rule_index);
+    state = table[state + class_of_[byte]];
+    if (state >= first_output_) {
+      const std::size_t k = (state - first_output_) / classes_;
+      for (std::uint32_t i = output_begin_[k]; i < output_begin_[k + 1]; ++i) {
+        consider(outputs_[i]);
+      }
     }
   }
   return best;

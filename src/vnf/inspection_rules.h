@@ -1,14 +1,16 @@
 // Signature rules for the in-enclave inspection NF: a named byte-pattern
 // table (Snort-style content rules with optional header constraints) with a
-// TLV wire form, plus a compiled Aho-Corasick multi-pattern matcher.
+// TLV wire form, plus a compiled Aho-Corasick multi-pattern matcher (a dense
+// DFA over byte classes).
 //
 // This header deliberately stays free of enclave and dataplane types: the
 // same code compiles into the trusted logic (where the rules live) and into
 // provisioning tools (which only encode them).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,12 +53,25 @@ class RuleSet {
   std::vector<InspectionRule> rules_;
 };
 
-/// Aho-Corasick automaton over a RuleSet: one pass over the payload finds
-/// every pattern hit regardless of rule count.
+/// Aho-Corasick automaton over a RuleSet, compiled to a dense DFA: one pass
+/// over the payload finds every pattern hit regardless of rule count, at one
+/// class load, one table load and one compare per byte.
+///
+/// Layout: bytes map to classes (class 0 is every byte that occurs in no
+/// pattern). `table_` holds one row of `classes_` entries per state, and
+/// each entry is the next state's row offset (state * classes_), so the
+/// walk never multiplies. States are numbered so that every state with
+/// outputs comes last: offset >= `first_output_` means "a pattern ends
+/// here", and only then are the flattened `outputs_` consulted.
 class RuleMatcher {
  public:
+  /// Upper bound on the transition table (states x classes x 4 B). Rule
+  /// blobs are decoded on the trusted side, so a rule set whose table
+  /// would exceed this is refused before anything is allocated.
+  static constexpr std::size_t kMaxTableBytes = std::size_t{1} << 20;
+
+  /// Throws Error when the compiled table would exceed kMaxTableBytes.
   explicit RuleMatcher(const RuleSet& rules);
-  ~RuleMatcher();
   RuleMatcher(const RuleMatcher&) = delete;
   RuleMatcher& operator=(const RuleMatcher&) = delete;
 
@@ -65,10 +80,21 @@ class RuleMatcher {
   std::optional<std::size_t> match(ByteView payload, std::uint16_t dst_port,
                                    std::uint8_t proto) const;
 
+  /// Bytes held by the transition table (states x classes x 4).
+  std::size_t table_bytes() const {
+    return table_.size() * sizeof(std::uint32_t);
+  }
+
  private:
-  struct Node;
   const std::vector<InspectionRule> rules_;
-  std::vector<Node> nodes_;
+  std::array<std::uint8_t, 256> class_of_{};
+  std::uint32_t classes_ = 0;       // table columns
+  std::uint32_t first_output_ = 0;  // row offset of the first output state
+  std::vector<std::uint32_t> table_;
+  // Rule indices of output state k (k-th state from first_output_) are
+  // outputs_[output_begin_[k] .. output_begin_[k + 1]).
+  std::vector<std::uint32_t> output_begin_;
+  std::vector<std::uint32_t> outputs_;
 };
 
 }  // namespace vnfsgx::vnf

@@ -1,10 +1,15 @@
 // In-enclave inspection NF tests: rule table encoding, the Aho-Corasick
-// matcher, enclave verdicts + flow/verdict-cache state, sealed rule
-// provisioning, and the dataplane punt path end to end.
+// matcher (against a naive per-rule oracle, and its table bound), enclave
+// verdicts + flow/verdict-cache state, sealed rule provisioning, and the
+// dataplane punt path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <memory>
+#include <numeric>
+#include <random>
 
 #include "crypto/random.h"
 #include "dataplane/fabric.h"
@@ -141,6 +146,194 @@ TEST(InspectionRulesTest, OverlappingPatternsAllDetected) {
   EXPECT_EQ(rules.rules()[*she].name, "he");  // earliest rule among alerts
 }
 
+/// Independent oracle: each rule searched on its own with std::search, then
+/// the same header constraints and priority as the matcher. Scanning rules
+/// in order, the first drop rule wins, else the first alert rule.
+std::optional<std::size_t> naive_match(const RuleSet& rules, ByteView payload,
+                                        std::uint16_t dst_port,
+                                        std::uint8_t proto) {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    const InspectionRule& rule = rules.rules()[i];
+    if (rule.dst_port != 0 && rule.dst_port != dst_port) continue;
+    if (rule.proto != 0 && rule.proto != proto) continue;
+    if (std::search(payload.begin(), payload.end(), rule.pattern.begin(),
+                    rule.pattern.end()) == payload.end()) {
+      continue;
+    }
+    if (!best || (rule.action == RuleAction::kDrop &&
+                  rules.rules()[*best].action != RuleAction::kDrop)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+/// Uniform-enough draw in [0, n) for the seeded generators below.
+std::size_t pick(std::mt19937& gen, std::size_t n) { return gen() % n; }
+
+/// A seeded rule set over a small alphabet, so patterns overlap densely and
+/// are often prefixes, suffixes or duplicates of each other. Some sets add
+/// one pattern holding all 256 byte values, so no byte is left unused.
+RuleSet random_rules(std::mt19937& gen, const Bytes& alphabet) {
+  RuleSet rules;
+  std::vector<Bytes> patterns;
+  bool wide = false;
+  const std::size_t count = 1 + pick(gen, 10);
+  for (std::size_t i = 0; i < count; ++i) {
+    Bytes pattern;
+    if (!patterns.empty() && pick(gen, 2) == 0) {
+      const Bytes& base = patterns[pick(gen, patterns.size())];
+      const auto cut = static_cast<std::ptrdiff_t>(1 + pick(gen, base.size()));
+      switch (pick(gen, 4)) {
+        case 0:  // prefix
+          pattern.assign(base.begin(), base.begin() + cut);
+          break;
+        case 1:  // suffix
+          pattern.assign(base.end() - cut, base.end());
+          break;
+        case 2:  // extension
+          pattern = base;
+          pattern.push_back(alphabet[pick(gen, alphabet.size())]);
+          break;
+        default:  // duplicate: drop/alert and earliest-rule ties
+          pattern = base;
+      }
+    } else if (!wide && pick(gen, 16) == 0) {
+      wide = true;  // one per set, never a base: it keeps the table small
+      pattern.resize(256);
+      std::iota(pattern.begin(), pattern.end(), std::uint8_t{0});
+      std::shuffle(pattern.begin(), pattern.end(), gen);
+    } else {
+      pattern.resize(1 + pick(gen, 5));
+      for (auto& b : pattern) b = alphabet[pick(gen, alphabet.size())];
+    }
+    if (pattern.size() < 256) patterns.push_back(pattern);
+    InspectionRule rule;
+    rule.name = "r" + std::to_string(i);
+    rule.pattern = std::move(pattern);
+    rule.action = pick(gen, 2) == 0 ? RuleAction::kDrop : RuleAction::kAlert;
+    rule.dst_port = std::array<std::uint16_t, 3>{0, 80, 443}[pick(gen, 3)];
+    rule.proto = std::array<std::uint8_t, 3>{0, 6, 17}[pick(gen, 3)];
+    rules.add(std::move(rule));
+  }
+  return rules;
+}
+
+/// A seeded payload: empty, alphabet noise, or all 256 byte values, often
+/// with a rule pattern planted (sometimes ending on the last byte).
+Bytes random_payload(std::mt19937& gen, const Bytes& alphabet,
+                     const RuleSet& rules) {
+  Bytes payload;
+  switch (pick(gen, 8)) {
+    case 0:
+      return payload;
+    case 1:
+      payload.resize(256);
+      std::iota(payload.begin(), payload.end(), std::uint8_t{0});
+      std::shuffle(payload.begin(), payload.end(), gen);
+      break;
+    default:
+      payload.resize(pick(gen, 48));
+      for (auto& b : payload) b = alphabet[pick(gen, alphabet.size())];
+  }
+  if (pick(gen, 2) == 0) {
+    const Bytes& pattern = rules.rules()[pick(gen, rules.size())].pattern;
+    const std::size_t at = pick(gen, payload.size() + 1);
+    payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(at),
+                   pattern.begin(), pattern.end());
+    if (pick(gen, 2) == 0) append(payload, pattern);  // ends on the last byte
+  }
+  return payload;
+}
+
+TEST(InspectionRulesTest, MatcherAgreesWithNaiveOracle) {
+  std::mt19937 gen(20170821);
+  std::size_t cases = 0, hits = 0;
+  for (int set = 0; set < 400; ++set) {
+    // 2-4 symbols; some sets draw 0x00/0xff so the edge bytes get classes.
+    Bytes alphabet;
+    const std::size_t symbols = 2 + pick(gen, 3);
+    for (std::size_t i = 0; i < symbols; ++i) {
+      alphabet.push_back(static_cast<std::uint8_t>(
+          set % 4 == 0 ? (i == 0 ? 0x00u : 0x100u - i) : 'a' + i));
+    }
+    const RuleSet rules = random_rules(gen, alphabet);
+    const RuleMatcher matcher(rules);
+    for (int p = 0; p < 40; ++p) {
+      const Bytes payload = random_payload(gen, alphabet, rules);
+      const std::uint16_t dst_port =
+          std::array<std::uint16_t, 3>{80, 443, 8080}[pick(gen, 3)];
+      const std::uint8_t proto = pick(gen, 2) == 0 ? 6 : 17;
+      const auto expected = naive_match(rules, payload, dst_port, proto);
+      ASSERT_EQ(matcher.match(payload, dst_port, proto), expected)
+          << "set " << set << " payload " << p << " of " << payload.size()
+          << " bytes";
+      ++cases;
+      hits += expected.has_value();
+    }
+  }
+  // The generator must exercise both outcomes, not just one.
+  EXPECT_GT(hits, cases / 10);
+  EXPECT_LT(hits, cases * 9 / 10);
+}
+
+TEST(InspectionRulesTest, MatcherEdgeCases) {
+  RuleSet rules;
+  rules.add(make_rule("tail-alert", "xyz", RuleAction::kAlert));
+  rules.add(make_rule("tail-drop", "xyz", RuleAction::kDrop));
+  rules.add(make_rule("tail-drop-2", "yz", RuleAction::kDrop));
+  InspectionRule nul = make_rule("nul", "", RuleAction::kAlert);
+  nul.pattern = Bytes{0x00, 0xff};
+  rules.add(nul);
+  const RuleMatcher matcher(rules);
+  EXPECT_FALSE(matcher.match({}, 80, 6).has_value());
+  // Ends on the last byte; same pattern, drop beats the earlier alert, and
+  // the earlier of two drops wins.
+  EXPECT_EQ(matcher.match(to_bytes("..xyz"), 80, 6), 1u);
+  EXPECT_EQ(matcher.match(to_bytes("yz"), 80, 6), 2u);
+  EXPECT_EQ(matcher.match(Bytes{'a', 0x00, 0xff}, 80, 6), 3u);
+  EXPECT_FALSE(matcher.match(Bytes{0xff, 0x00}, 80, 6).has_value());
+}
+
+TEST(InspectionRulesTest, MatcherTableIsStatesTimesClasses) {
+  // demo_rules: 26 distinct pattern prefixes + the root = 27 states; 15
+  // distinct pattern bytes + the shared class 0 = 16 classes.
+  const RuleMatcher matcher(demo_rules());
+  EXPECT_EQ(matcher.table_bytes(), 27u * 16u * sizeof(std::uint32_t));
+}
+
+/// Patterns over all 256 byte values make 256 classes, so every state
+/// costs 1 KiB and kMaxTableBytes holds exactly 1024 states: the root plus
+/// four patterns with distinct first bytes and 1023 + `extra` bytes in all.
+RuleSet table_bound_rules(std::size_t extra) {
+  RuleSet rules;
+  InspectionRule all_bytes = make_rule("all-bytes", "");
+  all_bytes.pattern.resize(256);
+  std::iota(all_bytes.pattern.begin(), all_bytes.pattern.end(),
+            std::uint8_t{0});
+  rules.add(all_bytes);
+  for (std::uint8_t lead = 1; lead <= 3; ++lead) {
+    InspectionRule run = make_rule("run-" + std::to_string(lead), "");
+    run.pattern.assign(lead == 3 ? 255 + extra : 256, lead);
+    rules.add(run);
+  }
+  return rules;
+}
+
+TEST(InspectionRulesTest, MatcherTableBound) {
+  static_assert(RuleMatcher::kMaxTableBytes == 1024 * 256 * 4);
+  const RuleSet at_bound = table_bound_rules(0);
+  const RuleMatcher matcher(at_bound);
+  EXPECT_EQ(matcher.table_bytes(), RuleMatcher::kMaxTableBytes);
+  Bytes payload(255, 3);
+  EXPECT_EQ(matcher.match(payload, 0, 0), 3u);
+  payload.pop_back();
+  EXPECT_FALSE(matcher.match(payload, 0, 0).has_value());
+
+  EXPECT_THROW(RuleMatcher{table_bound_rules(1)}, Error);
+}
+
 // ---------------------------------------------------------------------------
 // Enclave verdicts + flow state
 // ---------------------------------------------------------------------------
@@ -203,6 +396,20 @@ TEST_F(InspectionFixture, InspectionRequiresRules) {
   EXPECT_THROW(client.inspect(make_packet("anything"), 1), Error);
   RuleSet empty;
   EXPECT_THROW(client.load_rules(empty), Error);  // refuse fail-open tables
+}
+
+TEST_F(InspectionFixture, OverBoundRuleSetKeepsTheOldMatcher) {
+  InspectionClient client(load());
+  client.load_rules(demo_rules());
+  // The over-bound table is refused inside the enclave before it is built;
+  // the installed rules keep enforcing.
+  EXPECT_THROW(client.load_rules(table_bound_rules(1)), Error);
+  EXPECT_EQ(client.inspect(make_packet("run /bin/sh"), 1).verdict,
+            dp::InspectVerdict::kDrop);
+  client.load_rules(table_bound_rules(0));
+  EXPECT_EQ(client.inspect(make_packet("run /bin/sh", 80, 0x0a000002), 1)
+                .verdict,
+            dp::InspectVerdict::kForward);
 }
 
 TEST_F(InspectionFixture, SealedRuleProvisioning) {

@@ -74,6 +74,24 @@ TEST(HistogramTest, BucketAssignmentInclusiveUpperBound) {
   EXPECT_DOUBLE_EQ(h.sum(), 12.0);
 }
 
+TEST(HistogramTest, CountedObserveMatchesRepeatedObserve) {
+  // 2.5 and 0.75 are exact in binary, so value * count and repeated adds
+  // give the same sum bit for bit.
+  Histogram repeated({1.0, 2.0, 4.0});
+  Histogram counted({1.0, 2.0, 4.0});
+  for (int i = 0; i < 64; ++i) repeated.observe(2.5);
+  for (int i = 0; i < 3; ++i) repeated.observe(0.75);
+  counted.observe(2.5, 64);
+  counted.observe(0.75, 3);
+  counted.observe(9.0, 0);  // zero observations change nothing
+  EXPECT_EQ(counted.count(), repeated.count());
+  EXPECT_EQ(counted.count(), 67u);
+  EXPECT_DOUBLE_EQ(counted.sum(), repeated.sum());
+  EXPECT_EQ(counted.bucket_counts(), repeated.bucket_counts());
+  EXPECT_EQ(counted.bucket_counts(),
+            (std::vector<std::uint64_t>{3, 0, 64, 0}));
+}
+
 TEST(HistogramTest, QuantileLinearInterpolation) {
   // 10 observations, all in the first bucket [0, 10]: the median lands
   // halfway through the bucket (the histogram_quantile() rule).

@@ -1,8 +1,8 @@
 // Decoder robustness: every wire-format parser in the system must survive
 // arbitrary corruption — truncation, bit flips, random bytes — by throwing
 // ParseError (or rejecting) rather than crashing or reading out of bounds.
-// Deterministic mutation-based sweeps over all TLV decoders, JSON, and the
-// HTTP parser.
+// Deterministic mutation-based sweeps over all TLV decoders, JSON, the
+// HTTP parser, and the inspection NF's rule-blob and frame/verdict decoders.
 #include <gtest/gtest.h>
 
 #include "common/sim_clock.h"
@@ -16,6 +16,8 @@
 #include "pki/ca.h"
 #include "sgx/sigstruct.h"
 #include "sgx/structs.h"
+#include "vnf/inspection_rules.h"
+#include "vnf/inspection_wire.h"
 
 namespace vnfsgx {
 namespace {
@@ -212,6 +214,54 @@ TEST_F(RobustnessFixture, HttpResponseParser) {
     http::Connection conn(*peer);
     while (conn.read_response().has_value()) {
     }
+  });
+}
+
+TEST_F(RobustnessFixture, InspectionRuleDecoder) {
+  vnf::RuleSet rules;
+  rules.add({"exploit-shell", to_bytes("/bin/sh"), vnf::RuleAction::kDrop, 0,
+             0});
+  rules.add({"sqli-web", to_bytes("' OR 1=1"), vnf::RuleAction::kDrop, 80, 6});
+  rules.add({"probe", to_bytes("admin"), vnf::RuleAction::kAlert, 0, 17});
+  // A decoded set must also compile (or be refused with Error) and scan.
+  mutation_sweep(rules.encode(), [](const Bytes& b) {
+    const vnf::RuleSet decoded = vnf::RuleSet::decode(b);
+    const vnf::RuleMatcher matcher(decoded);
+    (void)matcher.match(b, 80, 6);
+  });
+}
+
+TEST_F(RobustnessFixture, InspectionFrameDecoders) {
+  vnf::RuleSet rules;
+  rules.add({"exploit-shell", to_bytes("/bin/sh"), vnf::RuleAction::kDrop, 0,
+             0});
+  const vnf::RuleMatcher matcher(rules);
+
+  vnf::wire::FrameDescriptor header;
+  header.src_ip = 0x0a000001;
+  header.dst_ip = 0x0a000064;
+  header.src_port = 40000;
+  header.dst_port = 80;
+  header.proto = 6;
+  Bytes frame(64);
+  frame.resize(vnf::wire::encode_frame(
+      header, to_bytes("GET /bin/sh HTTP/1.1\r\n"), frame));
+  mutation_sweep(frame, [&matcher](const Bytes& b) {
+    vnf::wire::FrameDescriptor decoded;
+    const ByteView payload = vnf::wire::decode_frame(b, &decoded);
+    EXPECT_EQ(payload.size(), decoded.frame_len);
+    EXPECT_LE(payload.data() + payload.size(), b.data() + b.size());
+    (void)matcher.match(payload, decoded.dst_port, decoded.proto);
+  });
+
+  Bytes verdict(64);
+  verdict.resize(vnf::wire::encode_verdict(2, true, "exploit-shell", verdict));
+  mutation_sweep(verdict, [](const Bytes& b) {
+    vnf::wire::FrameVerdict decoded;
+    const ByteView rule = vnf::wire::decode_verdict(b, &decoded);
+    EXPECT_EQ(rule.size(), decoded.rule_len);
+    EXPECT_LE(rule.data() + rule.size(), b.data() + b.size());
+    (void)vnfsgx::to_string(rule);
   });
 }
 
