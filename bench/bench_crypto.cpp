@@ -25,6 +25,30 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
 
+// The two SHA-256 compression paths on the same 16 KiB: arg 0 = portable,
+// arg 1 = SHA-NI (falls back to portable on CPUs without it; the label
+// says which ran). BM_Sha256 above runs whichever the CPU dispatches to.
+void BM_Sha256Compress(benchmark::State& state) {
+  DeterministicRandom rng(4);
+  constexpr std::size_t kBlocks = 256;
+  const Bytes data = rng.bytes(kBlocks * kSha256BlockSize);
+  const bool hw = state.range(0) == 1;
+  std::array<std::uint32_t, 8> h{};
+  for (auto _ : state) {
+    if (hw) {
+      detail::sha256_compress_shani(h, data.data(), kBlocks);
+    } else {
+      detail::sha256_compress_portable(h, data.data(), kBlocks);
+    }
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetLabel(!hw ? "portable"
+                     : (sha256_hw_available() ? "sha-ni" : "sha-ni absent"));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Sha256Compress)->Arg(0)->Arg(1);
+
 void BM_HmacSha256(benchmark::State& state) {
   DeterministicRandom rng(2);
   const Bytes key = rng.bytes(32);

@@ -71,7 +71,11 @@ std::string to_string(SecurityMode mode) {
 }
 
 Controller::Controller(ControllerConfig config, dataplane::Fabric& fabric)
-    : config_(std::move(config)), fabric_(fabric) {
+    : config_(std::move(config)),
+      fabric_(fabric),
+      audit_dropped_total_(obs::registry().counter(
+          "vnfsgx_controller_audit_records_dropped_total", {},
+          "Audit records overwritten once the bounded audit log is full")) {
   if (config_.mode != SecurityMode::kHttp) {
     if (!config_.certificate || !config_.signer || !config_.clock ||
         !config_.rng) {
@@ -199,14 +203,26 @@ void Controller::audit(const http::RequestContext& ctx,
                  "Write requests refused for missing client identity")
         .add();
   }
+  AuditRecord record{ctx.client_identity, req.method, req.path(), status};
   const std::lock_guard<std::mutex> lock(mutex_);
-  audit_log_.push_back(AuditRecord{ctx.client_identity, req.method,
-                                   req.path(), status});
+  if (audit_log_.size() < kAuditLogCapacity) {
+    audit_log_.push_back(std::move(record));
+    return;
+  }
+  audit_log_[audit_next_] = std::move(record);
+  audit_next_ = (audit_next_ + 1) % kAuditLogCapacity;
+  audit_dropped_total_.add();
 }
 
 std::vector<AuditRecord> Controller::audit_log() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return audit_log_;
+  std::vector<AuditRecord> ordered;
+  ordered.reserve(audit_log_.size());
+  const auto oldest =
+      audit_log_.begin() + static_cast<std::ptrdiff_t>(audit_next_);
+  ordered.insert(ordered.end(), oldest, audit_log_.end());
+  ordered.insert(ordered.end(), audit_log_.begin(), oldest);
+  return ordered;
 }
 
 std::vector<std::string> Controller::enrolled_identities() const {

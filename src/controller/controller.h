@@ -21,6 +21,7 @@
 #include "dataplane/fabric.h"
 #include "http/runtime.h"
 #include "http/server.h"
+#include "obs/metrics.h"
 #include "pki/truststore.h"
 #include "tls/session.h"
 
@@ -63,6 +64,12 @@ struct AuditRecord {
 
 class Controller {
  public:
+  /// The audit log keeps this many most recent records; older ones are
+  /// overwritten and counted in
+  /// vnfsgx_controller_audit_records_dropped_total, so a long-lived
+  /// controller's memory stays flat however many requests it serves.
+  static constexpr std::size_t kAuditLogCapacity = 4096;
+
   Controller(ControllerConfig config, dataplane::Fabric& fabric);
 
   /// Trust the Verification Manager's CA for client authentication
@@ -111,7 +118,8 @@ class Controller {
   const http::Router& router() const { return router_; }
   SecurityMode mode() const { return config_.mode; }
 
-  /// Observability for tests/benches.
+  /// Observability for tests/benches. The audit log holds at most
+  /// kAuditLogCapacity records, oldest to newest.
   std::vector<AuditRecord> audit_log() const;
   std::uint64_t requests_served() const { return requests_.load(); }
   std::uint64_t rejected_connections() const { return rejected_.load(); }
@@ -148,7 +156,11 @@ class Controller {
   bool attested_verifier_installed_ = false;
   http::Router router_;
   mutable std::mutex mutex_;
+  /// Ring of the most recent records: grows to kAuditLogCapacity, then
+  /// audit_next_ marks the oldest slot, which the next record overwrites.
   std::vector<AuditRecord> audit_log_;
+  std::size_t audit_next_ = 0;
+  obs::Counter& audit_dropped_total_;
   std::vector<std::string> enrolled_;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rejected_{0};

@@ -12,6 +12,7 @@
 #include "http/client.h"
 #include "json/json.h"
 #include "net/inmemory.h"
+#include "obs/metrics.h"
 #include "pki/ca.h"
 
 namespace vnfsgx::controller {
@@ -187,6 +188,33 @@ TEST_F(ControllerFixture, TrustedHttpsAcceptsCaSignedClient) {
   ASSERT_FALSE(log.empty());
   EXPECT_EQ(log.back().identity, "vnf-1");
   EXPECT_EQ(log.back().method, "POST");
+}
+
+TEST_F(ControllerFixture, AuditLogKeepsMostRecentRecordsOldestFirst) {
+  Controller controller(config(SecurityMode::kHttp), fabric_);
+  obs::Counter& dropped_total = obs::registry().counter(
+      "vnfsgx_controller_audit_records_dropped_total");
+  const std::uint64_t dropped_before = dropped_total.value();
+  constexpr std::size_t kExtra = 7;
+  constexpr std::size_t kRequests = Controller::kAuditLogCapacity + kExtra;
+  auto path = [](std::size_t i) {
+    return "/wm/staticflowpusher/list/" + std::to_string(i) + "/json";
+  };
+  auto client = connect(controller);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    client.get(path(i));
+  }
+  client.close();
+  join_all();
+
+  const auto log = controller.audit_log();
+  ASSERT_EQ(log.size(), Controller::kAuditLogCapacity);
+  // The oldest kExtra records are gone; the rest run oldest to newest.
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    ASSERT_EQ(log[i].path, path(kExtra + i)) << "slot " << i;
+  }
+  EXPECT_EQ(dropped_total.value() - dropped_before, kExtra);
+  EXPECT_EQ(controller.requests_served(), kRequests);
 }
 
 TEST_F(ControllerFixture, TrustedHttpsRejectsAnonymousClient) {

@@ -1,5 +1,6 @@
 // Hash/MAC/KDF/DRBG tests against published vectors (FIPS 180-4, RFC 4231,
-// RFC 5869) plus incremental-API properties.
+// RFC 5869) plus incremental-API properties, and a differential test of the
+// SHA-NI compression path against the portable one.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -56,6 +57,84 @@ TEST(Sha256, CopySnapshotsState) {
   const auto b = fork.finish();
   EXPECT_EQ(Bytes(a.begin(), a.end()), Bytes(b.begin(), b.end()));
   EXPECT_EQ(Bytes(a.begin(), a.end()), sha256(to_bytes("hello world")));
+}
+
+using CompressFn = void (*)(std::array<std::uint32_t, 8>&,
+                            const std::uint8_t*, std::size_t);
+
+/// One-shot SHA-256 padded by hand and compressed by `compress` alone, so
+/// each compression path can be pinned to the FIPS vectors on its own.
+Sha256Digest digest_with(CompressFn compress, ByteView msg) {
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % kSha256BlockSize != kSha256BlockSize - 8) {
+    padded.push_back(0);
+  }
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bit_len >> (i * 8)));
+  }
+  compress(state, padded.data(), padded.size() / kSha256BlockSize);
+  Sha256Digest out;
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      out[i * 4 + j] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+TEST(Sha256Paths, CompressionAgreesOnRandomStatesAndRuns) {
+  if (!sha256_hw_available()) GTEST_SKIP() << "CPU has no SHA-NI";
+  DeterministicRandom rng(256);
+  for (int trial = 0; trial < 8; ++trial) {
+    for (std::size_t nblocks = 1; nblocks <= 64; ++nblocks) {
+      const Bytes state_bytes = rng.bytes(32);
+      std::array<std::uint32_t, 8> portable{};
+      for (std::size_t i = 0; i < 8; ++i) {
+        portable[i] = read_u32(state_bytes, 4 * i);
+      }
+      std::array<std::uint32_t, 8> shani = portable;
+      const Bytes data = rng.bytes(nblocks * kSha256BlockSize);
+      detail::sha256_compress_portable(portable, data.data(), nblocks);
+      detail::sha256_compress_shani(shani, data.data(), nblocks);
+      ASSERT_EQ(shani, portable) << "trial=" << trial << " blocks=" << nblocks;
+    }
+  }
+}
+
+TEST(Sha256Paths, EveryUpdateSplitAgreesWithPortableOracle) {
+  if (!sha256_hw_available()) GTEST_SKIP() << "CPU has no SHA-NI";
+  DeterministicRandom rng(257);
+  const Bytes msg = rng.bytes(300);
+  for (std::size_t n = 0; n <= msg.size(); ++n) {
+    const ByteView whole(msg.data(), n);
+    const Sha256Digest expected =
+        digest_with(&detail::sha256_compress_portable, whole);
+    ASSERT_EQ(digest_with(&detail::sha256_compress_shani, whole), expected)
+        << "n=" << n;
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha256 h;
+      h.update(whole.first(split));
+      h.update(whole.subspan(split));
+      ASSERT_EQ(h.finish(), expected) << "n=" << n << " split=" << split;
+    }
+  }
+}
+
+TEST(Sha256Paths, MillionAsOnBothPaths) {
+  if (!sha256_hw_available()) GTEST_SKIP() << "CPU has no SHA-NI";
+  const Bytes msg(1'000'000, 'a');
+  const std::string expected =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  for (CompressFn compress :
+       {&detail::sha256_compress_portable, &detail::sha256_compress_shani}) {
+    const Sha256Digest d = digest_with(compress, msg);
+    EXPECT_EQ(to_hex(ByteView(d.data(), d.size())), expected);
+  }
 }
 
 TEST(Sha512, Fips180Vectors) {

@@ -2,7 +2,8 @@
 // arbitrary corruption — truncation, bit flips, random bytes — by throwing
 // ParseError (or rejecting) rather than crashing or reading out of bounds.
 // Deterministic mutation-based sweeps over all TLV decoders, JSON, the
-// HTTP parser, and the inspection NF's rule-blob and frame/verdict decoders.
+// HTTP parser, the RA-TLS evidence extension, and the inspection NF's
+// rule-blob and frame/verdict decoders.
 #include <gtest/gtest.h>
 
 #include "common/sim_clock.h"
@@ -14,6 +15,7 @@
 #include "json/json.h"
 #include "net/inmemory.h"
 #include "pki/ca.h"
+#include "ratls/evidence.h"
 #include "sgx/sigstruct.h"
 #include "sgx/structs.h"
 #include "vnf/inspection_rules.h"
@@ -169,6 +171,38 @@ TEST_F(RobustnessFixture, ProtocolDecoders) {
   provision.certificate = rng.bytes(150);
   mutation_sweep(core::encode(provision), [](const Bytes& b) {
     core::decode_provision_request(b);
+  });
+}
+
+TEST_F(RobustnessFixture, RatlsEvidenceDecoder) {
+  ratls::Evidence evidence;
+  evidence.quote.body.mr_enclave.fill(0xaa);
+  evidence.quote.body.isv_prod_id = 7;
+  evidence.quote.body.isv_svn = 3;
+  evidence.quote.body.report_data = ratls::report_data_for_key(
+      crypto::ed25519_generate(rng).public_key);
+  evidence.quote.platform_id.fill(0xcc);
+  evidence.iml_digest.fill(0x11);
+  evidence.vendor_key = crypto::ed25519_generate(rng).public_key;
+  evidence.isv_prod_id = 7;
+  evidence.isv_svn = 3;
+  // A decoded payload must re-encode to a payload that decodes the same.
+  mutation_sweep(evidence.encode(), [](const Bytes& b) {
+    const ratls::Evidence decoded = ratls::Evidence::decode(b);
+    const Bytes again = decoded.encode();
+    EXPECT_EQ(ratls::Evidence::decode(again).encode(), again);
+  });
+
+  // The same payload as it arrives: extension 0x52415431 of a certificate.
+  pki::CertificateAuthority ca({"ca", "org"}, rng, clock);
+  pki::Certificate cert = ca.issue(
+      {"vnf", "org"}, crypto::ed25519_generate(rng).public_key, 3);
+  cert.extensions.push_back(ratls::to_extension(evidence));
+  mutation_sweep(cert.encode(), [](const Bytes& b) {
+    const auto decoded = pki::Certificate::decode(b);
+    if (ratls::carries_evidence(decoded)) {
+      (void)ratls::find_evidence(decoded);
+    }
   });
 }
 
