@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/ed25519.h"
+#include "crypto/field25519.h"
 #include "crypto/gcm.h"
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
@@ -104,6 +105,65 @@ void BM_AesGcmSealInPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_AesGcmSealInPlace)->Arg(64)->Arg(1024)->Arg(16384);
 
+// SUB-25519 field and scalar primitives. Each iteration feeds its result
+// back in, so the numbers are latencies of a dependent chain, as in the
+// ladder and the point formulas.
+Fe bench_fe(std::uint64_t seed) {
+  DeterministicRandom rng(seed);
+  std::array<std::uint8_t, 32> b;
+  rng.fill(b);
+  return fe_from_bytes(b);
+}
+
+void BM_FeMul(benchmark::State& state) {
+  Fe x = bench_fe(10);
+  const Fe y = bench_fe(11);
+  for (auto _ : state) {
+    x = fe_mul(x, y);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeMul);
+
+void BM_FeSq(benchmark::State& state) {
+  Fe x = bench_fe(12);
+  for (auto _ : state) {
+    x = fe_sq(x);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeSq);
+
+void BM_FeInvert(benchmark::State& state) {
+  Fe x = bench_fe(13);
+  for (auto _ : state) {
+    x = fe_invert(x);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FeInvert);
+
+void BM_FeToBytes(benchmark::State& state) {
+  const Fe x = bench_fe(14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fe_to_bytes(x));
+  }
+}
+BENCHMARK(BM_FeToBytes);
+
+// One 64-byte reduction mod L (every SHA-512 output Ed25519 hashes).
+void BM_ScalarReduce(benchmark::State& state) {
+  DeterministicRandom rng(15);
+  std::array<std::uint8_t, 64> wide;
+  rng.fill(wide);
+  for (auto _ : state) {
+    const auto r = detail::scalar_reduce(wide);
+    std::copy(r.begin(), r.end(), wide.begin());
+    benchmark::DoNotOptimize(wide);
+  }
+}
+BENCHMARK(BM_ScalarReduce);
+
 void BM_X25519SharedSecret(benchmark::State& state) {
   DeterministicRandom rng(4);
   const auto a = x25519_generate(rng);
@@ -131,6 +191,17 @@ void BM_Ed25519Sign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Ed25519Sign);
+
+// Signing with a key expanded once, as every long-lived signer does.
+void BM_Ed25519SignExpanded(benchmark::State& state) {
+  DeterministicRandom rng(6);
+  const Ed25519SigningKey key = Ed25519SigningKey::generate(rng);
+  const Bytes msg = rng.bytes(256);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.sign(msg));
+  }
+}
+BENCHMARK(BM_Ed25519SignExpanded);
 
 void BM_Ed25519Verify(benchmark::State& state) {
   DeterministicRandom rng(7);

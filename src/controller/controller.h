@@ -161,6 +161,12 @@ class Controller {
   std::vector<AuditRecord> audit_log_;
   std::size_t audit_next_ = 0;
   obs::Counter& audit_dropped_total_;
+  // This mode's REST instruments, registered once at construction.
+  obs::Counter& requests_get_total_;
+  obs::Counter& requests_post_total_;
+  obs::Counter& requests_delete_total_;
+  obs::Counter& auth_failures_total_;
+  obs::Histogram& request_duration_us_;
   std::vector<std::string> enrolled_;
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rejected_{0};

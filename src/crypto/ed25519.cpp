@@ -14,118 +14,132 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar arithmetic modulo the group order
 //   L = 2^252 + 27742317777372353535851937790883648493.
-// Little-endian 32-bit limbs; sized for 512-bit intermediates so that the
-// SHA-512 outputs RFC 8032 reduces can be handled directly. Performance is
-// irrelevant next to the point multiplications, so the reduction is a plain
-// binary long division.
+// Scalars travel as 32 little-endian bytes. Reduction works on signed
+// 21-bit limbs (the ref10 layout): limb 12 sits at 2^252, and since
+// 2^252 ≡ -(L - 2^252) mod L, a high limb folds into the six limbs 12
+// places below it, multiplied by the 21-bit signed digits of L - 2^252.
+// Every step is a fixed sequence of multiplies, adds and arithmetic shifts
+// with no data-dependent branch or memory index, so the secret scalars of
+// signing (the nonce r and the key scalar a) are reduced in constant time.
 // ---------------------------------------------------------------------------
 
-struct Scalar {
-  // 9 limbs so intermediates during reduction (2*r + bit) fit.
-  std::array<std::uint32_t, 9> limb{};
-};
+using Scalar = std::array<std::uint8_t, 32>;
+using ScalarLimbs = std::array<std::int64_t, 24>;
 
-const std::array<std::uint32_t, 9>& order_limbs() {
-  // L little-endian: 0xED, 0xD3, 0xF5, 0x5C, 0x1A, 0x63, 0x12, 0x58,
-  // 0xD6, 0x9C, 0xF7, 0xA2, 0xDE, 0xF9, 0xDE, 0x14, 0,...,0, 0x10
-  static const std::array<std::uint32_t, 9> kL = {
-      0x5cf5d3edu, 0x5812631au, 0xa2f79cd6u, 0x14def9deu,
-      0x00000000u, 0x00000000u, 0x00000000u, 0x10000000u, 0u};
-  return kL;
+// L - 2^252 in signed radix 2^21.
+constexpr std::int64_t kLowL[6] = {666643, 470296, 654183,
+                                   -997805, 136657, -683901};
+constexpr std::int64_t kRadix = std::int64_t{1} << 21;
+
+// Fold limb i (>= 12) into limbs i-12 .. i-7.
+void fold_limb(ScalarLimbs& s, std::size_t i) {
+  for (std::size_t j = 0; j < 6; ++j) s[i - 12 + j] += s[i] * kLowL[j];
+  s[i] = 0;
 }
 
-// Compare a (9 limbs) with L.
-int cmp_order(const Scalar& a) {
-  const auto& l = order_limbs();
-  for (int i = 8; i >= 0; --i) {
-    // ct-ok: early-exit compare leaks only which limb first differs from
-    // the fixed public constant L; accepted for the software simulator
-    // (docs/SECURITY.md, "Constant-time policy").
-    if (a.limb[static_cast<std::size_t>(i)] != l[static_cast<std::size_t>(i)]) {
-      return a.limb[static_cast<std::size_t>(i)] < l[static_cast<std::size_t>(i)]
-                 ? -1
-                 : 1;
+// Centered carry: leaves limb i in [-2^20, 2^20).
+void carry_centered(ScalarLimbs& s, std::size_t i) {
+  const std::int64_t c = (s[i] + (kRadix >> 1)) >> 21;
+  s[i + 1] += c;
+  s[i] -= c * kRadix;
+}
+
+// Centered carries of every second limb, first .. last.
+void carry_centered_from(ScalarLimbs& s, std::size_t first, std::size_t last) {
+  for (std::size_t k = first; k <= last; k += 2) {
+    carry_centered(s, k);
+  }
+}
+
+// Floor carry: leaves limb i in [0, 2^21).
+void carry_floor(ScalarLimbs& s, std::size_t i) {
+  const std::int64_t c = s[i] >> 21;
+  s[i + 1] += c;
+  s[i] -= c * kRadix;
+}
+
+// Little-endian bits [21·i, 21·i + 21) of `in` (bits past the end are 0);
+// the last limb of a 32- or 64-byte string takes all remaining bits.
+std::int64_t load_limb(ByteView in, std::size_t i, std::size_t limbs) {
+  const std::size_t bit = 21 * i;
+  std::uint64_t v = 0;
+  for (std::size_t k = 0; k < 8 && bit / 8 + k < in.size(); ++k) {
+    v |= std::uint64_t{in[bit / 8 + k]} << (8 * k);
+  }
+  v >>= bit % 8;
+  if (i + 1 < limbs) v &= static_cast<std::uint64_t>(kRadix - 1);
+  return static_cast<std::int64_t>(v);
+}
+
+// Reduce limbs s[0..23] (each carried to ~21 bits, s[23] < 2^30) mod L.
+Scalar reduce_limbs(ScalarLimbs& s) {
+  // The limb indices below are fixed; only the limb values are secret.
+  for (std::size_t i = 23; i >= 18; --i) fold_limb(s, i);
+  carry_centered_from(s, 6, 16);
+  carry_centered_from(s, 7, 15);
+  for (std::size_t i = 17; i >= 12; --i) fold_limb(s, i);
+  carry_centered_from(s, 0, 10);
+  carry_centered_from(s, 1, 11);
+  fold_limb(s, 12);
+  for (std::size_t i = 0; i <= 11; ++i) carry_floor(s, i);
+  fold_limb(s, 12);
+  for (std::size_t i = 0; i <= 10; ++i) carry_floor(s, i);
+
+  // s[0..11] are now in [0, 2^21) and encode the canonical residue.
+  Scalar out{};
+  std::uint64_t acc = 0;
+  int bits = 0;
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < 12; ++i) {
+    acc |= static_cast<std::uint64_t>(s[i]) << bits;
+    bits += 21;
+    while (bits >= 8 && pos < out.size()) {
+      out[pos++] = static_cast<std::uint8_t>(acc);
+      acc >>= 8;
+      bits -= 8;
     }
   }
-  return 0;
-}
-
-void sub_order(Scalar& a) {
-  const auto& l = order_limbs();
-  std::uint64_t borrow = 0;
-  for (int i = 0; i < 9; ++i) {
-    const std::uint64_t d = static_cast<std::uint64_t>(a.limb[i]) -
-                            l[static_cast<std::size_t>(i)] - borrow;
-    a.limb[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(d);
-    borrow = (d >> 32) & 1;
-  }
-}
-
-// Reduce an arbitrary little-endian byte string modulo L.
-Scalar scalar_from_bytes_wide(ByteView bytes_le) {
-  Scalar r;  // running remainder < L
-  for (std::size_t byte_idx = bytes_le.size(); byte_idx-- > 0;) {
-    const std::uint8_t byte = bytes_le[byte_idx];
-    for (int bit = 7; bit >= 0; --bit) {
-      // r = 2r + bit
-      std::uint32_t carry = (byte >> bit) & 1;
-      for (int i = 0; i < 9; ++i) {
-        const std::uint32_t next_carry = r.limb[static_cast<std::size_t>(i)] >> 31;
-        r.limb[static_cast<std::size_t>(i)] =
-            (r.limb[static_cast<std::size_t>(i)] << 1) | carry;
-        carry = next_carry;
-      }
-      // ct-ok: per-bit conditional subtract during reduction; accepted for
-      // the software simulator (docs/SECURITY.md, "Constant-time policy").
-      if (cmp_order(r) >= 0) sub_order(r);
-    }
-  }
-  return r;
-}
-
-std::array<std::uint8_t, 32> scalar_to_bytes(const Scalar& s) {
-  std::array<std::uint8_t, 32> out{};
-  for (int i = 0; i < 8; ++i) {
-    const std::uint32_t v = s.limb[static_cast<std::size_t>(i)];
-    out[static_cast<std::size_t>(i * 4)] = static_cast<std::uint8_t>(v);
-    out[static_cast<std::size_t>(i * 4 + 1)] = static_cast<std::uint8_t>(v >> 8);
-    out[static_cast<std::size_t>(i * 4 + 2)] = static_cast<std::uint8_t>(v >> 16);
-    out[static_cast<std::size_t>(i * 4 + 3)] = static_cast<std::uint8_t>(v >> 24);
-  }
+  if (pos < out.size()) out[pos] = static_cast<std::uint8_t>(acc);
   return out;
 }
 
-// (a * b + c) mod L via 64-bit accumulation then wide reduction.
+// Reduce a 64-byte little-endian string (a SHA-512 output) modulo L.
+Scalar scalar_reduce(ByteView wide64) {
+  ScalarLimbs s{};
+  for (std::size_t i = 0; i < 24; ++i) s[i] = load_limb(wide64, i, 24);
+  return reduce_limbs(s);
+}
+
+// (a·b + c) mod L for 32-byte little-endian a, b, c (any value < 2^256).
 Scalar scalar_mul_add(const Scalar& a, const Scalar& b, const Scalar& c) {
-  std::array<std::uint64_t, 17> acc{};
-  for (int i = 0; i < 8; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      const std::uint64_t p =
-          static_cast<std::uint64_t>(a.limb[static_cast<std::size_t>(i)]) *
-          b.limb[static_cast<std::size_t>(j)];
-      acc[static_cast<std::size_t>(i + j)] += p & 0xffffffffu;
-      // Normalize eagerly (and branchlessly: the carry add is unconditional
-      // so timing does not depend on the secret limbs) so accumulators
-      // never overflow.
-      acc[static_cast<std::size_t>(i + j + 1)] +=
-          (p >> 32) + (acc[static_cast<std::size_t>(i + j)] >> 32);
-      acc[static_cast<std::size_t>(i + j)] &= 0xffffffffu;
-    }
+  std::int64_t al[12], bl[12];
+  ScalarLimbs s{};
+  for (std::size_t i = 0; i < 12; ++i) {
+    al[i] = load_limb(a, i, 12);
+    bl[i] = load_limb(b, i, 12);
+    s[i] = load_limb(c, i, 12);
   }
-  for (int i = 0; i < 8; ++i) acc[static_cast<std::size_t>(i)] += c.limb[static_cast<std::size_t>(i)];
-  // Final carry propagation into a byte string.
-  std::uint64_t carry = 0;
-  Bytes wide(17 * 4);
-  for (int i = 0; i < 17; ++i) {
-    const std::uint64_t v = acc[static_cast<std::size_t>(i)] + carry;
-    const std::uint32_t limb = static_cast<std::uint32_t>(v);
-    carry = v >> 32;
-    wide[static_cast<std::size_t>(i * 4)] = static_cast<std::uint8_t>(limb);
-    wide[static_cast<std::size_t>(i * 4 + 1)] = static_cast<std::uint8_t>(limb >> 8);
-    wide[static_cast<std::size_t>(i * 4 + 2)] = static_cast<std::uint8_t>(limb >> 16);
-    wide[static_cast<std::size_t>(i * 4 + 3)] = static_cast<std::uint8_t>(limb >> 24);
+  for (std::size_t i = 0; i < 12; ++i) {
+    for (std::size_t j = 0; j < 12; ++j) s[i + j] += al[i] * bl[j];
   }
-  return scalar_from_bytes_wide(wide);
+  carry_centered_from(s, 0, 22);
+  carry_centered_from(s, 1, 21);
+  return reduce_limbs(s);
+}
+
+// s < L. Only ever applied to the public signature scalar.
+bool scalar_is_canonical(const Scalar& s) {
+  // L little-endian.
+  static constexpr Scalar kL = {
+      0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+      0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+      0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+  // Borrow out of s - L is 1 iff s < L.
+  int borrow = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    borrow = (s[i] - kL[i] - borrow) < 0 ? 1 : 0;
+  }
+  return borrow == 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -158,7 +172,8 @@ Point point_add(const Point& p, const Point& q) {
   const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
   const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
   const Fe c = fe_mul(fe_mul(p.t, q.t), edwards_2d());
-  const Fe d = fe_mul_small(fe_mul(p.z, q.z), 2);
+  const Fe zz = fe_mul(p.z, q.z);
+  const Fe d = fe_add(zz, zz);
   const Fe e = fe_sub(b, a);
   const Fe f = fe_sub(d, c);
   const Fe g = fe_add(d, c);
@@ -170,7 +185,8 @@ Point point_add(const Point& p, const Point& q) {
 Point point_double(const Point& p) {
   const Fe a = fe_sq(p.x);
   const Fe b = fe_sq(p.y);
-  const Fe c = fe_mul_small(fe_sq(p.z), 2);
+  const Fe zz = fe_sq(p.z);
+  const Fe c = fe_add(zz, zz);
   const Fe h = fe_add(a, b);
   const Fe e = fe_sub(h, fe_sq(fe_add(p.x, p.y)));
   const Fe g = fe_sub(a, b);
@@ -223,7 +239,7 @@ Point point_madd(const Point& p, const Niels& q) {
   const Fe a = fe_mul(fe_sub(p.y, p.x), q.yminusx);
   const Fe b = fe_mul(fe_add(p.y, p.x), q.yplusx);
   const Fe c = fe_mul(p.t, q.xy2d);
-  const Fe d = fe_mul_small(p.z, 2);
+  const Fe d = fe_add(p.z, p.z);
   const Fe e = fe_sub(b, a);
   const Fe f = fe_sub(d, c);
   const Fe g = fe_add(d, c);
@@ -314,8 +330,9 @@ const std::array<Niels, 8>& base_odd_table() {
 }
 
 // Signed radix-16 recoding: 64 digits in [-8, 8], Σ e[i]·16^i = scalar.
-// Requires scalar < 2^255 - 8·16^63 (true for clamped scalars and values
-// reduced mod L), so the top digit absorbs its carry without overflow.
+// Requires scalar < 2^255 (true for clamped scalars and values reduced
+// mod L): the top nibble is then at most 7, so with its carry the top
+// digit stays within the table's 8 multiples.
 std::array<std::int8_t, 64> to_radix16(const std::array<std::uint8_t, 32>& a) {
   std::array<std::int8_t, 64> e;
   for (int i = 0; i < 32; ++i) {
@@ -504,50 +521,38 @@ std::array<std::uint8_t, 32> clamp_scalar(const std::uint8_t h[32]) {
   return a;
 }
 
-// The shared input validation of single and batch verification: signature
-// length, canonical s (< L), decodable A and R, and the challenge scalar
-// k = SHA512(R || A || M) mod L. nullopt mirrors exactly the cases where
-// ed25519_verify answers false without evaluating the curve equation.
+// The shared input validation of single and batch verification:
+// signature length, canonical s (< L), decodable A, and the challenge
+// scalar k = SHA512(R || A || M) mod L. R is not decoded here: single
+// verification only compares encodings (an R that does not decode, or
+// decodes from a non-canonical encoding, never equals the canonical
+// encoding of the computed point), and batch verification decodes it.
 struct DecodedVerify {
-  Point a;                                // public-key point
-  Point r;                                // signature R point
-  std::array<std::uint8_t, 32> s_bytes{};  // canonical scalar s
-  Scalar s;
-  Scalar k;
+  Point a;      // public-key point
+  Scalar s{};   // canonical scalar s
+  Scalar k{};
 };
 
 std::optional<DecodedVerify> decode_for_verify(
     const Ed25519PublicKey& public_key, ByteView message, ByteView signature) {
   if (signature.size() != kEd25519SignatureSize) return std::nullopt;
   const ByteView r_enc = signature.subspan(0, 32);
-  const ByteView s_enc = signature.subspan(32, 32);
 
   DecodedVerify out;
-  for (int i = 0; i < 8; ++i) {
-    std::uint32_t v = 0;
-    for (int j = 3; j >= 0; --j) {
-      v = (v << 8) | s_enc[static_cast<std::size_t>(i * 4 + j)];
-    }
-    out.s.limb[static_cast<std::size_t>(i)] = v;
-  }
+  std::memcpy(out.s.data(), signature.data() + 32, 32);
   // ct-ok: s is the signature scalar, a public input to verification.
-  if (cmp_order(out.s) >= 0) return std::nullopt;
+  if (!scalar_is_canonical(out.s)) return std::nullopt;
 
   const auto a_point = point_decode(public_key);
   // ct-ok: the public key is a public input to verification.
   if (!a_point) return std::nullopt;
-  const auto r_point = point_decode(r_enc);
-  if (!r_point) return std::nullopt;
   out.a = *a_point;
-  out.r = *r_point;
 
   Sha512 hk;
   hk.update(r_enc);
   hk.update(public_key);
   hk.update(message);
-  const Sha512Digest k_wide = hk.finish();
-  out.k = scalar_from_bytes_wide(k_wide);
-  std::memcpy(out.s_bytes.data(), s_enc.data(), 32);
+  out.k = scalar_reduce(hk.finish());
   return out;
 }
 
@@ -558,10 +563,45 @@ bool point_is_identity(const Point& p) {
 
 }  // namespace
 
+Ed25519SigningKey::Ed25519SigningKey(const Ed25519Seed& seed) {
+  const Zeroizing<Sha512Digest> h = Sha512::hash(seed);
+  scalar_ = clamp_scalar(h->data());
+  std::memcpy(prefix_->data(), h->data() + 32, 32);
+  public_key_ = point_encode(base_scalar_mul(scalar_));
+}
+
+Ed25519SigningKey Ed25519SigningKey::generate(RandomSource& rng) {
+  Zeroizing<Ed25519Seed> seed;
+  rng.fill(seed);
+  return Ed25519SigningKey(seed);
+}
+
+Ed25519Signature Ed25519SigningKey::sign(ByteView message) const {
+  // r = SHA512(prefix || M) mod L
+  Sha512 hr;
+  hr.update(*prefix_);
+  hr.update(message);
+  const Zeroizing<Scalar> r = scalar_reduce(hr.finish());
+  const auto r_enc = point_encode(base_scalar_mul(r));
+
+  // k = SHA512(R || A || M) mod L
+  Sha512 hk;
+  hk.update(r_enc);
+  hk.update(public_key_);
+  hk.update(message);
+  const Scalar k = scalar_reduce(hk.finish());
+
+  // s = (r + k * a) mod L
+  const Scalar s = scalar_mul_add(k, scalar_, r);
+
+  Ed25519Signature sig;
+  std::memcpy(sig.data(), r_enc.data(), 32);
+  std::memcpy(sig.data() + 32, s.data(), 32);
+  return sig;
+}
+
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed) {
-  const Sha512Digest h = Sha512::hash(seed);
-  const auto a = clamp_scalar(h.data());
-  return point_encode(base_scalar_mul(a));
+  return Ed25519SigningKey(seed).public_key();
 }
 
 Ed25519KeyPair ed25519_generate(RandomSource& rng) {
@@ -572,36 +612,7 @@ Ed25519KeyPair ed25519_generate(RandomSource& rng) {
 }
 
 Ed25519Signature ed25519_sign(const Ed25519Seed& seed, ByteView message) {
-  const Sha512Digest h = Sha512::hash(seed);
-  const auto a = clamp_scalar(h.data());
-  const Ed25519PublicKey pub = point_encode(base_scalar_mul(a));
-
-  // r = SHA512(prefix || M) mod L
-  Sha512 hr;
-  hr.update(ByteView(h.data() + 32, 32));
-  hr.update(message);
-  const Sha512Digest r_wide = hr.finish();
-  const Scalar r = scalar_from_bytes_wide(r_wide);
-  const auto r_bytes = scalar_to_bytes(r);
-  const auto r_enc = point_encode(base_scalar_mul(r_bytes));
-
-  // k = SHA512(R || A || M) mod L
-  Sha512 hk;
-  hk.update(r_enc);
-  hk.update(pub);
-  hk.update(message);
-  const Sha512Digest k_wide = hk.finish();
-  const Scalar k = scalar_from_bytes_wide(k_wide);
-
-  // s = (r + k * a) mod L
-  const Scalar a_scalar = scalar_from_bytes_wide(a);
-  const Scalar s = scalar_mul_add(k, a_scalar, r);
-  const auto s_bytes = scalar_to_bytes(s);
-
-  Ed25519Signature sig;
-  std::memcpy(sig.data(), r_enc.data(), 32);
-  std::memcpy(sig.data() + 32, s_bytes.data(), 32);
-  return sig;
+  return Ed25519SigningKey(seed).sign(message);
 }
 
 bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
@@ -609,12 +620,11 @@ bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
   const auto decoded = decode_for_verify(public_key, message, signature);
   // ct-ok: verification inputs (public key, signature) are public values.
   if (!decoded) return false;
-  const auto k_bytes = scalar_to_bytes(decoded->k);
 
   // Check s*B == R + k*A  <=>  k*(-A) + s*B == R, computed in one
-  // interleaved Straus pass with shared doublings.
-  const Point check = double_scalarmult_vartime(
-      k_bytes, point_neg(decoded->a), decoded->s_bytes);
+  // interleaved Straus pass with shared doublings, compared by encoding.
+  const Point check =
+      double_scalarmult_vartime(decoded->k, point_neg(decoded->a), decoded->s);
   const auto check_enc = point_encode(check);
   return std::memcmp(check_enc.data(), signature.data(), 32) == 0;
 }
@@ -625,19 +635,23 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
   std::vector<bool> ok(n, false);
   if (n == 0) return ok;
 
-  // Input validation identical to single verify; invalid items are settled
-  // here and never enter the combined equation.
+  // Input validation identical to single verify; invalid items (R
+  // included: the combined equation needs R as a point) are settled here
+  // and never enter the combined equation.
   struct Candidate {
     std::size_t index;
     DecodedVerify decoded;
-    Scalar z;  // 128-bit blinding coefficient
+    Point r;     // signature R point
+    Scalar z{};  // 128-bit blinding coefficient
   };
   std::vector<Candidate> candidates;
   candidates.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto decoded = decode_for_verify(items[i].public_key, items[i].message,
                                      items[i].signature);
-    if (decoded) candidates.push_back({i, std::move(*decoded), Scalar{}});
+    if (!decoded) continue;
+    const auto r_point = point_decode(items[i].signature.subspan(0, 32));
+    if (r_point) candidates.push_back({i, std::move(*decoded), *r_point});
   }
   if (candidates.empty()) return ok;
 
@@ -665,11 +679,11 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
     batch_digest = h.finish();
   }
   for (std::size_t j = 0; j < candidates.size(); ++j) {
-    std::array<std::uint8_t, 32> z_bytes{};
+    Scalar& z = candidates[j].z;  // 16 random bytes < L: already reduced
     if (rng) {
       std::array<std::uint8_t, 16> raw{};
       rng->fill(raw);
-      std::copy(raw.begin(), raw.end(), z_bytes.begin());
+      std::copy(raw.begin(), raw.end(), z.begin());
     } else {
       Sha512 h;
       h.update(batch_digest);
@@ -680,10 +694,9 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
       }
       h.update(idx);
       const Sha512Digest zd = h.finish();
-      std::copy(zd.begin(), zd.begin() + 16, z_bytes.begin());
+      std::copy(zd.begin(), zd.begin() + 16, z.begin());
     }
-    z_bytes[0] |= 1;  // never zero: a zero coefficient drops its item
-    candidates[j].z = scalar_from_bytes_wide(z_bytes);
+    z[0] |= 1;  // never zero: a zero coefficient drops its item
   }
 
   // Batch equation scalars:
@@ -696,7 +709,7 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
     std::array<std::int8_t, 256> digits;
   };
   std::vector<Term> terms(2 * candidates.size());
-  Scalar s_total;
+  Scalar s_total{};
   for (std::size_t j = 0; j < candidates.size(); ++j) {
     const Candidate& c = candidates[j];
     const Scalar zk = scalar_mul_add(c.z, c.decoded.k, Scalar{});
@@ -704,10 +717,10 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
 
     Term& tr = terms[2 * j];      // z_i · R_i
     Term& ta = terms[2 * j + 1];  // (z_i·k_i) · A_i
-    slide(tr.digits.data(), scalar_to_bytes(c.z));
-    slide(ta.digits.data(), scalar_to_bytes(zk));
+    slide(tr.digits.data(), c.z);
+    slide(ta.digits.data(), zk);
     for (Term* t : {&tr, &ta}) {
-      const Point& p = (t == &tr) ? c.decoded.r : c.decoded.a;
+      const Point& p = (t == &tr) ? c.r : c.decoded.a;
       t->odd[0] = p;
       const Point p2 = point_double(p);
       for (int m = 1; m < 8; ++m) {
@@ -717,7 +730,7 @@ std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
     }
   }
   std::array<std::int8_t, 256> base_digits;
-  slide(base_digits.data(), scalar_to_bytes(s_total));
+  slide(base_digits.data(), s_total);
   const auto& base_odd = base_odd_table();
 
   int top = 255;
@@ -783,6 +796,17 @@ std::array<std::uint8_t, 32> base_mul_ladder(
 std::array<std::uint8_t, 32> base_mul_windowed(
     const std::array<std::uint8_t, 32>& scalar_le) {
   return point_encode(base_scalar_mul(scalar_le));
+}
+
+std::array<std::uint8_t, 32> scalar_reduce(ByteView wide64) {
+  return crypto::scalar_reduce(wide64);
+}
+
+std::array<std::uint8_t, 32> scalar_mul_add(
+    const std::array<std::uint8_t, 32>& a,
+    const std::array<std::uint8_t, 32>& b,
+    const std::array<std::uint8_t, 32>& c) {
+  return crypto::scalar_mul_add(a, b, c);
 }
 
 }  // namespace detail

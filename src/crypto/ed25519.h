@@ -35,13 +35,40 @@ struct Ed25519KeyPair {
   Ed25519PublicKey public_key{};
 };
 
+/// An expanded signing key: the clamped secret scalar a, the nonce prefix
+/// and the public key A = a·B, all derived from a seed exactly once (RFC
+/// 8032 §5.1.5), so signing pays for neither the seed hash nor the a·B
+/// multiplication and its inversion. Immutable, and only ever built from
+/// a seed: signing with an A that does not match a leaks a, so there is
+/// deliberately no way to supply A. The secret halves wipe themselves.
+/// Long-lived signers (CAs, the IAS, TPM AIKs, the quoting enclave, TLS
+/// identities, the credential enclave) each hold one.
+class Ed25519SigningKey {
+ public:
+  explicit Ed25519SigningKey(const Ed25519Seed& seed);
+  /// Expand a fresh seed drawn from `rng` (the seed itself is not kept).
+  static Ed25519SigningKey generate(RandomSource& rng);
+
+  const Ed25519PublicKey& public_key() const { return public_key_; }
+
+  /// Deterministic signature over `message`; byte-identical to
+  /// ed25519_sign(seed, message).
+  Ed25519Signature sign(ByteView message) const;
+
+ private:
+  Zeroizing<std::array<std::uint8_t, 32>> scalar_;  // clamped a
+  Zeroizing<std::array<std::uint8_t, 32>> prefix_;  // nonce prefix
+  Ed25519PublicKey public_key_{};
+};
+
 /// Derive the public key from a seed.
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed);
 
 /// Generate a fresh keypair.
 Ed25519KeyPair ed25519_generate(RandomSource& rng);
 
-/// Deterministic signature over `message`.
+/// Deterministic signature over `message`. Expands the seed on every
+/// call; callers that sign more than once hold an Ed25519SigningKey.
 Ed25519Signature ed25519_sign(const Ed25519Seed& seed, ByteView message);
 
 /// Verify. Rejects non-canonical s (s >= L) and undecodable points.
@@ -94,6 +121,15 @@ std::array<std::uint8_t, 32> base_mul_ladder(
     const std::array<std::uint8_t, 32>& scalar_le);
 std::array<std::uint8_t, 32> base_mul_windowed(
     const std::array<std::uint8_t, 32>& scalar_le);
+
+/// Test hooks for the scalar arithmetic mod L: reduction of a 64-byte
+/// little-endian value, and (a·b + c) mod L for 32-byte little-endian
+/// inputs. Both return the canonical 32-byte residue.
+std::array<std::uint8_t, 32> scalar_reduce(ByteView wide64);
+std::array<std::uint8_t, 32> scalar_mul_add(
+    const std::array<std::uint8_t, 32>& a,
+    const std::array<std::uint8_t, 32>& b,
+    const std::array<std::uint8_t, 32>& c);
 
 }  // namespace detail
 

@@ -2,112 +2,14 @@
 
 namespace vnfsgx::crypto {
 
-namespace {
-
-using u64 = std::uint64_t;
-using u128 = unsigned __int128;
-
-constexpr u64 kMask51 = (1ULL << 51) - 1;
-
-// Carry-propagate so every limb is < 2^52 (loose reduction).
-Fe carry(Fe a) {
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i < 4; ++i) {
-      const u64 c = a.v[i] >> 51;
-      a.v[i] &= kMask51;
-      a.v[i + 1] += c;
-    }
-    const u64 c = a.v[4] >> 51;
-    a.v[4] &= kMask51;
-    a.v[0] += c * 19;
-  }
-  return a;
-}
-
-}  // namespace
+using fe_detail::kMask51;
+using fe_detail::u64;
 
 Fe fe_from_u64(std::uint64_t x) {
   Fe r = fe_zero();
   r.v[0] = x & kMask51;
   r.v[1] = x >> 51;
   return r;
-}
-
-Fe fe_add(const Fe& a, const Fe& b) {
-  Fe r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  return carry(r);
-}
-
-Fe fe_sub(const Fe& a, const Fe& b) {
-  // a - b + 2p, with 2p = (2^52-38, 2^52-2, 2^52-2, 2^52-2, 2^52-2) in
-  // radix 2^51, keeps limbs non-negative for loosely reduced inputs.
-  Fe r;
-  r.v[0] = a.v[0] + ((1ULL << 52) - 38) - b.v[0];
-  for (int i = 1; i < 5; ++i) {
-    r.v[i] = a.v[i] + ((1ULL << 52) - 2) - b.v[i];
-  }
-  return carry(r);
-}
-
-Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
-
-Fe fe_mul(const Fe& a, const Fe& b) {
-  const u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-  u128 t0 = static_cast<u128>(a0) * b0 + static_cast<u128>(a1) * b4_19 +
-            static_cast<u128>(a2) * b3_19 + static_cast<u128>(a3) * b2_19 +
-            static_cast<u128>(a4) * b1_19;
-  u128 t1 = static_cast<u128>(a0) * b1 + static_cast<u128>(a1) * b0 +
-            static_cast<u128>(a2) * b4_19 + static_cast<u128>(a3) * b3_19 +
-            static_cast<u128>(a4) * b2_19;
-  u128 t2 = static_cast<u128>(a0) * b2 + static_cast<u128>(a1) * b1 +
-            static_cast<u128>(a2) * b0 + static_cast<u128>(a3) * b4_19 +
-            static_cast<u128>(a4) * b3_19;
-  u128 t3 = static_cast<u128>(a0) * b3 + static_cast<u128>(a1) * b2 +
-            static_cast<u128>(a2) * b1 + static_cast<u128>(a3) * b0 +
-            static_cast<u128>(a4) * b4_19;
-  u128 t4 = static_cast<u128>(a0) * b4 + static_cast<u128>(a1) * b3 +
-            static_cast<u128>(a2) * b2 + static_cast<u128>(a3) * b1 +
-            static_cast<u128>(a4) * b0;
-
-  Fe r;
-  u64 c;
-  r.v[0] = static_cast<u64>(t0) & kMask51;
-  c = static_cast<u64>(t0 >> 51);
-  t1 += c;
-  r.v[1] = static_cast<u64>(t1) & kMask51;
-  c = static_cast<u64>(t1 >> 51);
-  t2 += c;
-  r.v[2] = static_cast<u64>(t2) & kMask51;
-  c = static_cast<u64>(t2 >> 51);
-  t3 += c;
-  r.v[3] = static_cast<u64>(t3) & kMask51;
-  c = static_cast<u64>(t3 >> 51);
-  t4 += c;
-  r.v[4] = static_cast<u64>(t4) & kMask51;
-  c = static_cast<u64>(t4 >> 51);
-  r.v[0] += c * 19;
-  c = r.v[0] >> 51;
-  r.v[0] &= kMask51;
-  r.v[1] += c;
-  return r;
-}
-
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
-
-Fe fe_mul_small(const Fe& a, std::uint64_t s) {
-  Fe r;
-  u128 carry_acc = 0;
-  for (int i = 0; i < 5; ++i) {
-    const u128 t = static_cast<u128>(a.v[i]) * s + carry_acc;
-    r.v[i] = static_cast<u64>(t) & kMask51;
-    carry_acc = t >> 51;
-  }
-  r.v[0] += static_cast<u64>(carry_acc) * 19;
-  return carry(r);
 }
 
 Fe fe_pow(const Fe& base, const std::array<std::uint8_t, 32>& exp_be) {
@@ -188,68 +90,35 @@ Fe fe_from_bytes(ByteView in32) {
 }
 
 std::array<std::uint8_t, 32> fe_to_bytes(const Fe& a) {
-  Fe t = carry(a);
-  // Full reduction: add 19 and see if it overflows 2^255 (i.e. t >= p).
-  // Standard trick: compute t + 19, propagate, then use the carry out of
-  // bit 255 to decide subtraction of p.
-  u64 l0 = t.v[0], l1 = t.v[1], l2 = t.v[2], l3 = t.v[3], l4 = t.v[4];
-  // Propagate once more to guarantee limbs < 2^51 + small.
-  u64 c;
-  c = l0 >> 51;
-  l0 &= kMask51;
-  l1 += c;
-  c = l1 >> 51;
-  l1 &= kMask51;
-  l2 += c;
-  c = l2 >> 51;
-  l2 &= kMask51;
-  l3 += c;
-  c = l3 >> 51;
-  l3 &= kMask51;
-  l4 += c;
-  c = l4 >> 51;
-  l4 &= kMask51;
-  l0 += c * 19;
-  c = l0 >> 51;
-  l0 &= kMask51;
-  l1 += c;
+  // One carry pass leaves limbs < 2^51 + 2^18, so the value t < 2p.
+  Fe t = fe_detail::carry_once(a);
+  // q = floor((t + 19) / 2^255) is 1 iff t >= p: propagate the carry of
+  // t + 19 through the limbs and read what leaves the top.
+  u64 q = (t.v[0] + 19) >> 51;
+  q = (t.v[1] + q) >> 51;
+  q = (t.v[2] + q) >> 51;
+  q = (t.v[3] + q) >> 51;
+  q = (t.v[4] + q) >> 51;
+  // t - q·p = t + 19q - q·2^255: add 19q, carry, drop bit 255.
+  t.v[0] += 19 * q;
+  t.v[1] += t.v[0] >> 51;
+  t.v[0] &= kMask51;
+  t.v[2] += t.v[1] >> 51;
+  t.v[1] &= kMask51;
+  t.v[3] += t.v[2] >> 51;
+  t.v[2] &= kMask51;
+  t.v[4] += t.v[3] >> 51;
+  t.v[3] &= kMask51;
+  t.v[4] &= kMask51;
 
-  // Now limbs < 2^51 except possibly l1 has a tiny carry; t < 2p.
-  // Conditionally subtract p: compute t - p; if no borrow, keep it.
-  u64 s0 = l0 + 19;
-  u64 carry0 = s0 >> 51;
-  s0 &= kMask51;
-  u64 s1 = l1 + carry0;
-  u64 carry1 = s1 >> 51;
-  s1 &= kMask51;
-  u64 s2 = l2 + carry1;
-  u64 carry2 = s2 >> 51;
-  s2 &= kMask51;
-  u64 s3 = l3 + carry2;
-  u64 carry3 = s3 >> 51;
-  s3 &= kMask51;
-  u64 s4 = l4 + carry3;
-  const u64 ge_p = s4 >> 51;  // 1 iff t + 19 >= 2^255, i.e. t >= p
-  s4 &= kMask51;
-
-  const u64 mask = 0 - ge_p;  // all-ones if t >= p
-  l0 = (l0 & ~mask) | (s0 & mask);
-  l1 = (l1 & ~mask) | (s1 & mask);
-  l2 = (l2 & ~mask) | (s2 & mask);
-  l3 = (l3 & ~mask) | (s3 & mask);
-  l4 = (l4 & ~mask) | (s4 & mask);
-
-  std::array<std::uint8_t, 32> out{};
-  const u64 limbs[5] = {l0, l1, l2, l3, l4};
-  // Pack 5x51 bits little-endian.
-  int bitpos = 0;
-  for (int i = 0; i < 5; ++i) {
-    for (int bit = 0; bit < 51; ++bit, ++bitpos) {
-      if ((limbs[i] >> bit) & 1) {
-        out[static_cast<std::size_t>(bitpos >> 3)] |=
-            static_cast<std::uint8_t>(1u << (bitpos & 7));
-      }
-    }
+  // Pack 5 x 51 bits into four little-endian 64-bit words.
+  const u64 w[4] = {t.v[0] | (t.v[1] << 51), (t.v[1] >> 13) | (t.v[2] << 38),
+                    (t.v[2] >> 26) | (t.v[3] << 25),
+                    (t.v[3] >> 39) | (t.v[4] << 12)};
+  std::array<std::uint8_t, 32> out;
+  for (int i = 0; i < 32; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(w[i / 8] >> (8 * (i % 8)));
   }
   return out;
 }
@@ -262,15 +131,6 @@ bool fe_is_zero(const Fe& a) {
 }
 
 int fe_is_negative(const Fe& a) { return fe_to_bytes(a)[0] & 1; }
-
-void fe_cswap(Fe& a, Fe& b, std::uint64_t bit) {
-  const u64 mask = 0 - bit;
-  for (int i = 0; i < 5; ++i) {
-    const u64 x = mask & (a.v[i] ^ b.v[i]);
-    a.v[i] ^= x;
-    b.v[i] ^= x;
-  }
-}
 
 const Fe& fe_sqrt_m1() {
   // 2^((p-1)/4) with (p-1)/4 = 2^253 - 5.

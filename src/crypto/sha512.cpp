@@ -1,5 +1,7 @@
 #include "crypto/sha512.h"
 
+#include <algorithm>
+
 namespace vnfsgx::crypto {
 
 namespace {
@@ -119,17 +121,25 @@ void Sha512::update(ByteView data) {
 }
 
 Sha512Digest Sha512::finish() {
+  // Pad in place: 0x80, zeros, then the 128-bit big-endian bit length in
+  // the last sixteen bytes — one block, or two when the tail leaves no
+  // room. The high 64 length bits are zero for any message hashed here.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != kSha512BlockSize - 16) update(ByteView(&zero, 1));
-  // 128-bit length: high 64 bits are zero for any message this library hashes.
-  std::uint8_t len_bytes[16] = {0};
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kSha512BlockSize - 16) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_),
+              buffer_.end(), std::uint8_t{0});
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  update(ByteView(len_bytes, 16));
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_),
+            buffer_.end() - 8, std::uint8_t{0});
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kSha512BlockSize - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  }
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Sha512Digest out;
   for (int i = 0; i < 8; ++i) {

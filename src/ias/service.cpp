@@ -64,7 +64,9 @@ bool VerificationReport::verify(const crypto::Ed25519PublicKey& ias_key) const {
 }
 
 IasService::IasService(crypto::RandomSource& rng, const Clock& clock)
-    : rng_(rng), clock_(clock), signing_key_(crypto::ed25519_generate(rng)) {}
+    : rng_(rng),
+      clock_(clock),
+      signing_key_(crypto::Ed25519SigningKey::generate(rng)) {}
 
 void IasService::register_platform(
     const sgx::PlatformId& id, const crypto::Ed25519PublicKey& attestation_key) {
@@ -162,7 +164,7 @@ VerificationReport IasService::sign_report(QuoteStatus status,
   VerificationReport report;
   report.body_json = json::serialize(json::Value(std::move(body)));
   report.signature =
-      crypto::ed25519_sign(signing_key_.seed, to_bytes(report.body_json));
+      signing_key_.sign(to_bytes(report.body_json));
   return report;
 }
 

@@ -75,7 +75,7 @@ class IasService {
   /// The report-signing public key (stand-in for the IAS report-signing
   /// certificate verifiers pin).
   const crypto::Ed25519PublicKey& report_signing_key() const {
-    return signing_key_.public_key;
+    return signing_key_.public_key();
   }
 
   std::uint64_t reports_issued() const;
@@ -87,7 +87,7 @@ class IasService {
   mutable std::mutex mutex_;
   crypto::RandomSource& rng_;
   const Clock& clock_;
-  crypto::Ed25519KeyPair signing_key_;
+  const crypto::Ed25519SigningKey signing_key_;
   std::map<sgx::PlatformId, crypto::Ed25519PublicKey> platforms_;
   std::map<sgx::PlatformId, bool> revoked_;
   std::uint64_t next_report_id_ = 1;

@@ -51,7 +51,8 @@ bool TpmQuote::verify(const crypto::Ed25519PublicKey& aik) const {
                                 ByteView(signature.data(), signature.size()));
 }
 
-Tpm::Tpm(crypto::RandomSource& rng) : aik_(crypto::ed25519_generate(rng)) {}
+Tpm::Tpm(crypto::RandomSource& rng)
+    : aik_(crypto::Ed25519SigningKey::generate(rng)) {}
 
 void Tpm::extend(std::uint32_t pcr_index, ByteView digest) {
   if (pcr_index >= kTpmPcrCount) throw Error("tpm: PCR index out of range");
@@ -74,7 +75,7 @@ TpmQuote Tpm::quote(std::uint32_t pcr_index,
   q.pcr_index = pcr_index;
   q.pcr_value = read(pcr_index);
   q.nonce = nonce;
-  q.signature = crypto::ed25519_sign(aik_.seed, q.tbs());
+  q.signature = aik_.sign(q.tbs());
   return q;
 }
 

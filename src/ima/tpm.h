@@ -61,13 +61,13 @@ class Tpm {
   /// The attestation identity key's public half (enrolled with verifiers
   /// out of band, like an AIK certificate).
   const crypto::Ed25519PublicKey& aik_public_key() const {
-    return aik_.public_key;
+    return aik_.public_key();
   }
 
  private:
   mutable std::mutex mutex_;
   std::array<Pcr, kTpmPcrCount> pcrs_{};
-  crypto::Ed25519KeyPair aik_;
+  const crypto::Ed25519SigningKey aik_;
 };
 
 }  // namespace vnfsgx::ima

@@ -25,7 +25,9 @@ CertificateAuthority::CertificateAuthority(DistinguishedName name,
                                            crypto::RandomSource& rng,
                                            const Clock& clock,
                                            std::int64_t root_validity_seconds)
-    : name_(std::move(name)), clock_(clock), key_(crypto::ed25519_generate(rng)) {
+    : name_(std::move(name)),
+      clock_(clock),
+      key_(crypto::Ed25519SigningKey::generate(rng)) {
   stripe_next_.push_back(
       std::make_unique<std::atomic<std::uint64_t>>(2));  // 1 is the root
   root_cert_.serial = 1;
@@ -33,10 +35,10 @@ CertificateAuthority::CertificateAuthority(DistinguishedName name,
   root_cert_.issuer = name_;
   root_cert_.not_before = clock_.now();
   root_cert_.not_after = clock_.now() + root_validity_seconds;
-  root_cert_.public_key = key_.public_key;
+  root_cert_.public_key = key_.public_key();
   root_cert_.is_ca = true;
   root_cert_.key_usage = static_cast<std::uint8_t>(KeyUsage::kCertSign);
-  root_cert_.signature = crypto::ed25519_sign(key_.seed, root_cert_.tbs());
+  root_cert_.signature = key_.sign(root_cert_.tbs());
 }
 
 std::unique_ptr<CertificateAuthority> CertificateAuthority::subordinate(
@@ -47,7 +49,7 @@ std::unique_ptr<CertificateAuthority> CertificateAuthority::subordinate(
                                                     validity_seconds);
   // Replace the self-signed certificate with one issued by the parent.
   sub->root_cert_ =
-      parent.issue_intermediate(name, sub->key_.public_key, validity_seconds);
+      parent.issue_intermediate(name, sub->key_.public_key(), validity_seconds);
   return sub;
 }
 
@@ -88,7 +90,7 @@ Certificate CertificateAuthority::issue_intermediate(
   cert.public_key = subject_key;
   cert.is_ca = true;
   cert.key_usage = static_cast<std::uint8_t>(KeyUsage::kCertSign);
-  cert.signature = crypto::ed25519_sign(key_.seed, cert.tbs());
+  cert.signature = key_.sign(cert.tbs());
   issued_.fetch_add(1, std::memory_order_relaxed);
   issued_counter("intermediate").add();
   return cert;
@@ -109,7 +111,7 @@ Certificate CertificateAuthority::issue(
   cert.public_key = subject_public_key;
   cert.is_ca = false;
   cert.key_usage = key_usage;
-  cert.signature = crypto::ed25519_sign(key_.seed, cert.tbs());
+  cert.signature = key_.sign(cert.tbs());
   issued_.fetch_add(1, std::memory_order_relaxed);
   issued_counter("leaf").add();
   return cert;
@@ -149,8 +151,7 @@ RevocationList CertificateAuthority::build_crl_locked() const {
   crl.serials_sorted = true;
   // crl_tbs over the cached block is byte-identical to crl.tbs(), so the
   // signature verifies against a fresh re-encoding on the receiver side.
-  crl.signature = crypto::ed25519_sign(
-      key_.seed, crl_tbs(name_, crl.this_update, serial_block_));
+  crl.signature = key_.sign(crl_tbs(name_, crl.this_update, serial_block_));
   return crl;
 }
 

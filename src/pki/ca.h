@@ -83,7 +83,7 @@ class CertificateAuthority {
   mutable std::mutex mutex_;
   DistinguishedName name_;
   const Clock& clock_;
-  crypto::Ed25519KeyPair key_;
+  const crypto::Ed25519SigningKey key_;
   Certificate root_cert_;
   /// Per-stripe next-serial counters; stripe s steps by stripes(). The
   /// single default stripe starts at 2 (1 is the root) and steps by 1.

@@ -102,7 +102,8 @@ void SgxPlatform::charge_crossing() {
 // ---------------------------------------------------------------------------
 
 QuotingEnclave::QuotingEnclave(SgxPlatform& platform, crypto::RandomSource& rng)
-    : platform_(platform), attestation_key_(crypto::ed25519_generate(rng)) {
+    : platform_(platform),
+      attestation_key_(crypto::Ed25519SigningKey::generate(rng)) {
   // The QE has its own (fixed) identity; other enclaves target reports at it.
   const Bytes qe_code = to_bytes("vnfsgx-quoting-enclave-v1");
   measurement_ = measure_image(qe_code, 0);
@@ -128,7 +129,7 @@ Quote QuotingEnclave::quote(const Report& report) const {
   quote.platform_id = platform_.platform_id();
   quote.body = report.body;
   quote.signature =
-      crypto::ed25519_sign(attestation_key_.seed, quote.encode_tbs());
+      attestation_key_.sign(quote.encode_tbs());
   return quote;
 }
 

@@ -104,13 +104,13 @@ class QuotingEnclave {
 
   /// Public half of the attestation key, for IAS registration.
   const crypto::Ed25519PublicKey& attestation_public_key() const {
-    return attestation_key_.public_key;
+    return attestation_key_.public_key();
   }
 
  private:
   SgxPlatform& platform_;
   Measurement measurement_;
-  crypto::Ed25519KeyPair attestation_key_;
+  const crypto::Ed25519SigningKey attestation_key_;
 };
 
 }  // namespace vnfsgx::sgx

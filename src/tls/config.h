@@ -3,8 +3,8 @@
 // The signing operation is a callback rather than a raw private key: in the
 // paper's design the VNF's client key lives inside an SGX enclave and never
 // leaves it, so the TLS stack asks the enclave to produce the
-// CertificateVerify signature. Software-held keys just wrap
-// ed25519_sign in the callback.
+// CertificateVerify signature. Software-held keys wrap an expanded
+// Ed25519SigningKey in the callback.
 #pragma once
 
 #include <functional>
@@ -83,11 +83,11 @@ struct Config {
   const Clock* clock = nullptr;        // required
   crypto::RandomSource* rng = nullptr; // required
 
-  /// Convenience: identity from a certificate + software key. The closure
-  /// holds its seed copy in a Zeroizing so it is wiped with the Config.
+  /// Convenience: identity from a certificate + software key. The seed is
+  /// expanded once; the closure's key wipes itself with the Config.
   static SignFunction software_signer(const crypto::Ed25519Seed& seed) {
-    return [seed = Zeroizing<crypto::Ed25519Seed>(seed)](ByteView data) {
-      return crypto::ed25519_sign(seed, data);
+    return [key = crypto::Ed25519SigningKey(seed)](ByteView data) {
+      return key.sign(data);
     };
   }
 };

@@ -1,5 +1,7 @@
 #include "vnf/credential_enclave.h"
 
+#include <optional>
+
 #include "crypto/sha256.h"
 #include "pki/tlv.h"
 #include "pki/truststore.h"
@@ -99,7 +101,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
       case kOpGetCertificate:
         return get_certificate(services);
       case kOpSign:
-        return sign(input, services);
+        return sign(input);
       case kOpSealState:
         return seal_state(services);
       case kOpRestoreState:
@@ -123,11 +125,20 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
   }
 
  private:
-  Zeroizing<crypto::Ed25519Seed> seed_from_vault(
-      sgx::EnclaveServices& services) {
-    const Bytes& seed_bytes = services.vault().load("seed");
+  // The expanded key of the vault's seed, derived whenever the seed is
+  // generated, rotated or restored, so signing and public-key reads never
+  // repeat the seed expansion.
+  const crypto::Ed25519SigningKey& signing_key() const {
+    if (!key_) throw Error("credential enclave: no key generated yet");
+    return *key_;
+  }
+
+  static Zeroizing<crypto::Ed25519Seed> seed_from_bytes(ByteView bytes) {
+    if (bytes.size() != crypto::kEd25519SeedSize) {
+      throw ParseError("credential enclave: malformed key seed");
+    }
     Zeroizing<crypto::Ed25519Seed> seed;
-    std::copy(seed_bytes.begin(), seed_bytes.end(), seed.begin());
+    std::copy(bytes.begin(), bytes.end(), seed.begin());
     return seed;
   }
 
@@ -136,8 +147,9 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
       Zeroizing<crypto::Ed25519Seed> seed;
       services.read_rand(seed);
       services.vault().store("seed", Bytes(seed.begin(), seed.end()));
+      key_.emplace(seed);
     }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
+    const auto& pub = signing_key().public_key();
     return Bytes(pub.begin(), pub.end());
   }
 
@@ -146,10 +158,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     const auto nonce = r.expect_array<32>(kTagNonce);
     const sgx::TargetInfo target =
         sgx::TargetInfo::decode(r.expect(kTagTargetInfo));
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
+    const auto& pub = signing_key().public_key();
     const sgx::Report report =
         services.create_report(target, credential_report_data(nonce, pub));
     return report.encode();
@@ -157,11 +166,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
 
   Bytes install_certificate(ByteView input, sgx::EnclaveServices& services) {
     const pki::Certificate cert = pki::Certificate::decode(input);
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
-    if (cert.public_key != pub) {
+    if (cert.public_key != signing_key().public_key()) {
       throw SecurityViolation(
           "credential enclave: certificate key does not match enclave key");
     }
@@ -176,11 +181,8 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     return services.vault().load("cert");
   }
 
-  Bytes sign(ByteView input, sgx::EnclaveServices& services) {
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto sig = crypto::ed25519_sign(seed_from_vault(services), input);
+  Bytes sign(ByteView input) const {
+    const auto sig = signing_key().sign(input);
     return Bytes(sig.begin(), sig.end());
   }
 
@@ -199,11 +201,25 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     if (!plain) {
       throw SecurityViolation("credential enclave: sealed state rejected");
     }
+    // Parse and check everything before touching the vault, so a blob that
+    // is refused leaves the previous key, certificate and expanded key as
+    // they were.
     pki::TlvReader r(*plain);
-    services.vault().store("seed", r.expect_bytes(kTagSeed));
+    SecureBytes seed_bytes = r.expect_bytes(kTagSeed);
+    crypto::Ed25519SigningKey key(seed_from_bytes(seed_bytes));
+    std::optional<Bytes> cert;
+    if (!r.done()) cert = r.expect_bytes(kTagCert);
     if (!r.done()) {
-      services.vault().store("cert", r.expect_bytes(kTagCert));
+      throw ParseError("credential enclave: trailing sealed state");
     }
+
+    services.vault().store("seed", std::move(*seed_bytes));
+    if (cert) {
+      services.vault().store("cert", std::move(*cert));
+    } else {
+      services.vault().erase("cert");  // it certified the replaced key
+    }
+    key_.emplace(std::move(key));
     return {};
   }
 
@@ -222,15 +238,14 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     truststore_->add_root(ca_root);
     clock_ = std::make_unique<FixedClock>(now);
     rng_ = std::make_unique<ServicesRng>(services);
-    Zeroizing<crypto::Ed25519Seed> seed = seed_from_vault(services);
 
     tls::Config config;
     config.certificate =
         pki::Certificate::decode(services.vault().load("cert"));
-    // The signer closes over the seed *inside the enclave*; the private
+    // The signer closes over the key *inside the enclave*; the private
     // key is never marshalled out, and the closure's copy wipes itself.
-    config.signer = [seed = std::move(seed)](ByteView data) {
-      return crypto::ed25519_sign(seed, data);
+    config.signer = [key = signing_key()](ByteView data) {
+      return key.sign(data);
     };
     config.truststore = truststore_.get();
     config.expected_server_name = expected_name;
@@ -270,10 +285,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     pki::TlvReader r(input);
     const sgx::TargetInfo target =
         sgx::TargetInfo::decode(r.expect(kTagTargetInfo));
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    const auto pub = crypto::ed25519_public_key(seed_from_vault(services));
+    const auto& pub = signing_key().public_key();
     const sgx::Report report =
         services.create_report(target, ratls::report_data_for_key(pub));
     return report.encode();
@@ -298,11 +310,8 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     spec.not_before = static_cast<UnixTime>(r.expect_u64(kTagNotBefore));
     spec.not_after = static_cast<UnixTime>(r.expect_u64(kTagNotAfter));
 
-    if (!services.vault().contains("seed")) {
-      throw Error("credential enclave: no key generated yet");
-    }
-    Zeroizing<crypto::Ed25519Seed> seed = seed_from_vault(services);
-    const auto pub = crypto::ed25519_public_key(seed);
+    const crypto::Ed25519SigningKey& key = signing_key();
+    const auto& pub = key.public_key();
     // The quote must speak for THIS enclave's key: untrusted code supplied
     // it, and binding someone else's quote to our key (or ours to theirs)
     // must not produce a certificate.
@@ -312,7 +321,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     }
     const pki::Certificate cert = ratls::make_certificate(
         spec, pub, evidence,
-        [&seed](ByteView data) { return crypto::ed25519_sign(seed, data); });
+        [&key](ByteView data) { return key.sign(data); });
     services.vault().store("cert", cert.encode());
     return cert.encode();
   }
@@ -322,6 +331,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     tls_close();
     services.vault().erase("seed");
     services.vault().erase("cert");
+    key_.reset();
     return generate_key(services);
   }
 
@@ -329,6 +339,7 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     if (!session_) throw Error("credential enclave: no TLS session open");
   }
 
+  std::optional<crypto::Ed25519SigningKey> key_;  // mirrors the vault seed
   // In-enclave TLS state: session keys live and die here.
   std::unique_ptr<pki::TrustStore> truststore_;
   std::unique_ptr<FixedClock> clock_;

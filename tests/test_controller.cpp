@@ -217,6 +217,62 @@ TEST_F(ControllerFixture, AuditLogKeepsMostRecentRecordsOldestFirst) {
   EXPECT_EQ(controller.requests_served(), kRequests);
 }
 
+TEST_F(ControllerFixture, RequestMetricsCountEveryRequestOnce) {
+  // The per-mode REST instruments are registered once and updated through
+  // cached references; the readings must still count every request.
+  Controller controller(config(SecurityMode::kTrustedHttps), fabric_);
+  controller.trust_ca(ca_.root_certificate());
+  const auto requests = [](const std::string& method) {
+    return obs::registry()
+        .counter("vnfsgx_controller_requests_total",
+                 {{"mode", "TRUSTED_HTTPS"}, {"method", method}})
+        .value();
+  };
+  obs::Counter& failures = obs::registry().counter(
+      "vnfsgx_controller_auth_failures_total", {{"mode", "TRUSTED_HTTPS"}});
+  obs::Histogram& duration = obs::registry().histogram(
+      "vnfsgx_controller_request_duration_us", {{"mode", "TRUSTED_HTTPS"}});
+  const std::uint64_t get0 = requests("GET");
+  const std::uint64_t post0 = requests("POST");
+  const std::uint64_t delete0 = requests("DELETE");
+  const std::uint64_t failures0 = failures.value();
+  const std::uint64_t duration0 = duration.count();
+
+  constexpr std::size_t kGets = 5, kPosts = 3, kForbidden = 2;
+  const auto vnf = make_client("vnf-1");
+  auto client = connect(controller, &vnf);
+  for (std::size_t i = 0; i < kGets; ++i) {
+    EXPECT_EQ(client.get("/wm/core/controller/summary/json").status, 200);
+  }
+  for (std::size_t i = 0; i < kPosts; ++i) {
+    EXPECT_EQ(client.post("/wm/staticflowpusher/json",
+                          R"({"name":"fw-)" + std::to_string(i) +
+                              R"(","switch":1,"actions":"drop"})")
+                  .status,
+              200);
+  }
+  client.close();
+  // A certificate without a common name authenticates the channel but
+  // names no client: writes are refused with 403.
+  const auto nameless = make_client("");
+  auto anon = connect(controller, &nameless);
+  for (std::size_t i = 0; i < kForbidden; ++i) {
+    EXPECT_EQ(anon.post("/wm/staticflowpusher/json",
+                        R"({"name":"evil","switch":1,"actions":"drop"})")
+                  .status,
+              403);
+  }
+  anon.close();
+  join_all();
+
+  EXPECT_EQ(requests("GET") - get0, kGets);
+  EXPECT_EQ(requests("POST") - post0, kPosts + kForbidden);
+  EXPECT_EQ(requests("DELETE") - delete0, 0u);
+  EXPECT_EQ(failures.value() - failures0, kForbidden);
+  EXPECT_EQ(duration.count() - duration0, kGets + kPosts + kForbidden);
+  EXPECT_EQ(controller.requests_served(), kGets + kPosts + kForbidden);
+}
+
 TEST_F(ControllerFixture, TrustedHttpsRejectsAnonymousClient) {
   Controller controller(config(SecurityMode::kTrustedHttps), fabric_);
   controller.trust_ca(ca_.root_certificate());

@@ -476,3 +476,130 @@ TEST(Ed25519Batch, RandomSweepMatchesSingleVerify) {
 
 }  // namespace
 }  // namespace vnfsgx::crypto
+
+// ---------------------------------------------------------------------------
+// Expanded signing keys, and verdicts on R encodings that do not decode.
+// ---------------------------------------------------------------------------
+namespace vnfsgx::crypto {
+namespace {
+
+TEST(Ed25519SigningKey, SignsByteEqualToSeedSigningOnRfc8032Vectors) {
+  struct Vector {
+    const char* seed;
+    const char* pub;
+    const char* msg;
+    const char* sig;
+  };
+  const Vector vectors[] = {
+      {"9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+       "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a", "",
+       "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+       "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
+      {"4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+       "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c", "72",
+       "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+       "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
+      {"c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+       "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+       "af82",
+       "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+       "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
+  };
+  DeterministicRandom rng(0xe4);
+  for (const Vector& v : vectors) {
+    const Ed25519Seed seed = seed_from_hex(v.seed);
+    const Ed25519SigningKey key(seed);
+    EXPECT_EQ(to_hex(key.public_key()), v.pub);
+    const Bytes rfc_msg = from_hex(v.msg);
+    const auto rfc_sig = key.sign(rfc_msg);
+    EXPECT_EQ(to_hex(ByteView(rfc_sig.data(), rfc_sig.size())), v.sig);
+    // Further messages through the same key: the cached expansion must
+    // not drift between signatures, and must match seed signing.
+    for (std::size_t n : {0u, 1u, 64u, 111u, 112u, 1000u}) {
+      const Bytes m = rng.bytes(n);
+      const auto sig = key.sign(m);
+      EXPECT_EQ(sig, ed25519_sign(seed, m));
+      EXPECT_TRUE(ed25519_verify(key.public_key(), m,
+                                 ByteView(sig.data(), sig.size())));
+    }
+    EXPECT_EQ(key.sign(rfc_msg), rfc_sig);
+  }
+}
+
+TEST(Ed25519SigningKey, GenerateMatchesSeedDerivation) {
+  DeterministicRandom a(77);
+  DeterministicRandom b(77);
+  const Ed25519SigningKey key = Ed25519SigningKey::generate(a);
+  const Ed25519KeyPair kp = ed25519_generate(b);
+  EXPECT_EQ(key.public_key(), kp.public_key);
+  const Bytes m = to_bytes("quote body");
+  EXPECT_EQ(key.sign(m), ed25519_sign(kp.seed, m));
+}
+
+// Signatures whose R is not a canonical point encoding: single verify
+// compares encodings without decoding R, batch verify decodes R; both must
+// reject every one of them, and agree item by item inside a batch.
+TEST(Ed25519, UndecodableAndNonCanonicalRAgreeAcrossSingleAndBatch) {
+  // The identity is a (weak) public key for which s = 0 and R = identity
+  // verifies; its non-canonical spellings must not.
+  Ed25519PublicKey identity{};
+  identity[0] = 1;
+  const Bytes msg = to_bytes("weak key");
+  std::array<std::uint8_t, 64> canonical{};
+  canonical[0] = 1;  // R = (0, 1), s = 0
+  EXPECT_TRUE(ed25519_verify(identity, msg, canonical));
+
+  std::vector<std::array<std::uint8_t, 64>> bad_r;
+  auto y_is_p_plus_1 = canonical;  // y = p + 1 ≡ 1, non-canonical
+  y_is_p_plus_1[0] = 0xee;
+  std::fill(y_is_p_plus_1.begin() + 1, y_is_p_plus_1.begin() + 31,
+            std::uint8_t{0xff});
+  y_is_p_plus_1[31] = 0x7f;
+  bad_r.push_back(y_is_p_plus_1);
+  auto negative_zero_x = canonical;  // x = 0 with the sign bit set
+  negative_zero_x[31] = 0x80;
+  bad_r.push_back(negative_zero_x);
+  for (const auto& sig : bad_r) {
+    EXPECT_FALSE(ed25519_verify(identity, msg, sig));
+  }
+
+  // Real signatures with R replaced: the p + 1 spelling, y = 2^255 - 1,
+  // and random y values (about half of which have no x on the curve).
+  DeterministicRandom rng(0xdec0de);
+  std::vector<SignedMessage> batch = make_signed(rng, 24);
+  for (std::size_t i = 0; i < batch.size(); i += 2) {
+    auto& r = batch[i].signature;
+    if (i == 0) {
+      std::copy(y_is_p_plus_1.begin(), y_is_p_plus_1.begin() + 32, r.begin());
+    } else if (i == 2) {
+      std::fill(r.begin(), r.begin() + 32, std::uint8_t{0xff});
+      r[31] = 0x7f;
+    } else {
+      rng.fill(std::span<std::uint8_t>(r.data(), 32));
+    }
+    EXPECT_FALSE(ed25519_verify(batch[i].public_key, batch[i].message,
+                                ByteView(r.data(), r.size())))
+        << "index " << i;
+  }
+  expect_matches_single(batch, nullptr);
+  expect_matches_single(batch, &rng);
+
+  // The weak-key cases inside a batch of valid signatures.
+  std::vector<SignedMessage> mixed = make_signed(rng, 4);
+  for (const auto& sig : bad_r) {
+    SignedMessage sm;
+    sm.public_key = identity;
+    sm.message = msg;
+    std::copy(sig.begin(), sig.end(), sm.signature.begin());
+    mixed.push_back(sm);
+  }
+  SignedMessage ok;
+  ok.public_key = identity;
+  ok.message = msg;
+  std::copy(canonical.begin(), canonical.end(), ok.signature.begin());
+  mixed.push_back(ok);
+  expect_matches_single(mixed, nullptr);
+}
+
+}  // namespace
+}  // namespace vnfsgx::crypto

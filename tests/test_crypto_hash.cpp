@@ -169,6 +169,35 @@ TEST(Sha512, IncrementalAcrossBlockBoundary) {
   EXPECT_EQ(Bytes(d.begin(), d.end()), expected);
 }
 
+// In-place padding must be right at every tail length, in particular at
+// 111/112 bytes mod 128 where the length field stops fitting in the final
+// block. The one-shot digests of the 0..300-byte prefixes of one message
+// are pinned through a single SHA-512 over their concatenation (the
+// constant was computed with an independent SHA-512), and every
+// two-update split of every prefix must reproduce its one-shot digest.
+TEST(Sha512, EveryUpdateSplitMatchesOneShot) {
+  Bytes msg(300);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  Sha512 all;
+  for (std::size_t n = 0; n <= msg.size(); ++n) {
+    const ByteView whole(msg.data(), n);
+    const Sha512Digest expected = Sha512::hash(whole);
+    all.update(expected);
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha512 h;
+      h.update(whole.first(split));
+      h.update(whole.subspan(split));
+      ASSERT_EQ(h.finish(), expected) << "n=" << n << " split=" << split;
+    }
+  }
+  const Sha512Digest d = all.finish();
+  EXPECT_EQ(to_hex(ByteView(d.data(), d.size())),
+            "8a732a2ef96b72c61264041d982c51f52f584ba520746f8dfcbe356c60311e9d"
+            "68a05c40ac64998fb6bfca078a50d008373e7d30159f0e4626b1102c1cf370b3");
+}
+
 TEST(HmacSha256, Rfc4231Case1) {
   const Bytes key(20, 0x0b);
   EXPECT_EQ(to_hex(hmac_sha256(key, to_bytes("Hi There"))),

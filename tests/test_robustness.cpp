@@ -2,12 +2,14 @@
 // arbitrary corruption — truncation, bit flips, random bytes — by throwing
 // ParseError (or rejecting) rather than crashing or reading out of bounds.
 // Deterministic mutation-based sweeps over all TLV decoders, JSON, the
-// HTTP parser, the RA-TLS evidence extension, and the inspection NF's
-// rule-blob and frame/verdict decoders.
+// HTTP parser, the RA-TLS evidence extension, the inspection NF's
+// rule-blob and frame/verdict decoders, and the credential enclave's
+// sealed-state blob.
 #include <gtest/gtest.h>
 
 #include "common/sim_clock.h"
 #include "core/protocol.h"
+#include "crypto/ed25519.h"
 #include "crypto/random.h"
 #include "http/wire.h"
 #include "ima/measurement_list.h"
@@ -20,6 +22,8 @@
 #include "sgx/structs.h"
 #include "vnf/inspection_rules.h"
 #include "vnf/inspection_wire.h"
+#include "vnf/functions.h"
+#include "vnf/vnf.h"
 
 namespace vnfsgx {
 namespace {
@@ -297,6 +301,56 @@ TEST_F(RobustnessFixture, InspectionFrameDecoders) {
     EXPECT_LE(rule.data() + rule.size(), b.data() + b.size());
     (void)vnfsgx::to_string(rule);
   });
+}
+
+TEST_F(RobustnessFixture, SealedCredentialStateRestore) {
+  // The sealed {seed, certificate} blob is the one secret-bearing input the
+  // credential enclave accepts from untrusted storage. Every mutation must
+  // be refused by restore_state and leave the receiving enclave's key,
+  // certificate and cached expanded signing key exactly as they were.
+  sgx::PlatformOptions fast;
+  fast.crossing_cost = std::chrono::nanoseconds(0);
+  host::ContainerHost host("host-1", rng, fast);
+  host.boot();
+  const auto vendor = crypto::ed25519_generate(rng);
+  pki::CertificateAuthority ca(pki::DistinguishedName{"vm-ca", ""}, rng,
+                               clock);
+  const auto client_auth =
+      static_cast<std::uint8_t>(pki::KeyUsage::kClientAuth);
+
+  vnf::Vnf source("vnf-a", host, vendor.seed,
+                  std::make_unique<vnf::MonitorFunction>());
+  const auto source_pub = source.credentials().generate_key();
+  source.credentials().install_certificate(
+      ca.issue({"vnf-a", ""}, source_pub, client_auth));
+  const Bytes sealed = source.credentials().seal_state();
+
+  vnf::Vnf target("vnf-b", host, vendor.seed,
+                  std::make_unique<vnf::MonitorFunction>());
+  vnf::CredentialClient& creds = target.credentials();
+  const auto pub = creds.generate_key();
+  creds.install_certificate(ca.issue({"vnf-b", ""}, pub, client_auth));
+  const Bytes cert = creds.certificate().encode();
+  const Bytes msg = to_bytes("flow push");
+
+  std::size_t refused = 0;
+  mutation_sweep(sealed, [&](const Bytes& b) {
+    if (b == sealed) return;  // not a mutation (e.g. the full-length cut)
+    EXPECT_THROW(creds.restore_state(b), Error);
+    ++refused;
+    ASSERT_EQ(creds.generate_key(), pub);
+    ASSERT_EQ(creds.certificate().encode(), cert);
+    const auto sig = creds.sign(msg);
+    ASSERT_TRUE(crypto::ed25519_verify(pub, msg, sig));
+  });
+  EXPECT_GT(refused, 2 * sealed.size());
+
+  // The intact blob still restores, switching the target to the source's
+  // credential.
+  creds.restore_state(sealed);
+  EXPECT_EQ(creds.generate_key(), source_pub);
+  const auto sig = creds.sign(msg);
+  EXPECT_TRUE(crypto::ed25519_verify(source_pub, msg, sig));
 }
 
 }  // namespace
