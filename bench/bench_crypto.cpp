@@ -3,6 +3,8 @@
 // workflow benches (see EXPERIMENTS.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "crypto/ed25519.h"
 #include "crypto/field25519.h"
 #include "crypto/gcm.h"
@@ -104,6 +106,34 @@ void BM_AesGcmSealInPlace(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_AesGcmSealInPlace)->Arg(64)->Arg(1024)->Arg(16384);
+
+void BM_AesGcmKeySetup(benchmark::State& state) {
+  // Per-key cost paid by every TLS session and sealing context: the AES
+  // key schedule plus the GHASH key H.
+  DeterministicRandom rng(3);
+  const Bytes key = rng.bytes(16);
+  for (auto _ : state) {
+    const AesGcm gcm(key);
+    benchmark::DoNotOptimize(&gcm);
+  }
+}
+BENCHMARK(BM_AesGcmKeySetup);
+
+void BM_GhashSoftware(benchmark::State& state) {
+  // The software GHASH (branchless bit-at-a-time multiply) that CPUs
+  // without PCLMULQDQ run; PCLMUL hosts never take it in AesGcm.
+  DeterministicRandom rng(3);
+  AesBlock h;
+  const Bytes hb = rng.bytes(16);
+  std::copy(hb.begin(), hb.end(), h.begin());
+  const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::ghash_software(h, {}, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_GhashSoftware)->Arg(64)->Arg(1024)->Arg(16384);
 
 // SUB-25519 field and scalar primitives. Each iteration feeds its result
 // back in, so the numbers are latencies of a dependent chain, as in the

@@ -146,34 +146,24 @@ BENCHMARK(BM_InspectSwitchless)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectSwitchlessSweep(benchmark::State& state) {
-  // The PR-10 A/B matrix: frame size x ring count x wire codec. codec 0 is
-  // the PR-6 TLV format (per-frame heap encode, then a copy into the
-  // slot); codec 1 is the zero-copy FrameDescriptor serialized straight
-  // into the ring slot with the verdict collected in place.
+  // Frame size x ring count on the switchless path: each frame's
+  // FrameDescriptor is serialized straight into its ring slot and the
+  // verdict collected in place.
   vnf::InspectionClient::Options options;
   options.mode = vnf::InspectionClient::Mode::kSwitchless;
   options.rings = static_cast<std::size_t>(state.range(1));
-  options.codec = state.range(2) == 0 ? vnf::InspectionClient::Codec::kTlv
-                                      : vnf::InspectionClient::Codec::kZeroCopy;
   BoundaryBench bench(options);
-  std::string label = state.range(2) == 0 ? "tlv" : "zerocopy";
-  label += ", rings=" + std::to_string(state.range(1));
-  run_inspection_loop(state, bench, label);
+  run_inspection_loop(state, bench,
+                      "rings=" + std::to_string(state.range(1)));
 }
 BENCHMARK(BM_InspectSwitchlessSweep)
-    // Args: {frame bytes, rings, codec (0 = tlv, 1 = zerocopy)}.
-    ->Args({64, 1, 0})
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 0})
-    ->Args({64, 2, 1})
-    ->Args({512, 1, 0})
-    ->Args({512, 1, 1})
-    ->Args({512, 2, 0})
-    ->Args({512, 2, 1})
-    ->Args({1500, 1, 0})
-    ->Args({1500, 1, 1})
-    ->Args({1500, 2, 0})
-    ->Args({1500, 2, 1})
+    // Args: {frame bytes, rings}.
+    ->Args({64, 1})
+    ->Args({64, 2})
+    ->Args({512, 1})
+    ->Args({512, 2})
+    ->Args({1500, 1})
+    ->Args({1500, 2})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_InspectOutsideEnclave(benchmark::State& state) {

@@ -14,8 +14,8 @@
 // Counters per series: requests/s (items_per_second), server_threads,
 // process_threads (from /proc/self/status), workers, idle/active conns.
 // The obs registry snapshot (metrics_exit) additionally captures the
-// runtime's queue-depth / queue-wait / burst-duration series for
-// BENCH_pr4.json.
+// runtime's queue-depth / queue-wait / burst-duration series for the
+// CI artifact bench-artifacts/bench_smoke.json.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -287,7 +287,7 @@ void BM_ServerLoad(benchmark::State& state) {
   }
 
   // Mirror the headline numbers into the obs registry so the atexit
-  // snapshot lands them in BENCH_pr4.json.
+  // snapshot lands them in bench-artifacts/bench_smoke.json.
   obs::registry()
       .gauge("vnfsgx_bench_server_load_threads", {{"model", to_string(model)}},
              "Server-side threads at steady state, by server model")

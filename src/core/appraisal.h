@@ -3,16 +3,16 @@
 // measurements — and the appraisal verdict logic.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "crypto/sha256.h"
 #include "ima/measurement_list.h"
+#include "obs/generational_cache.h"
 #include "sgx/measurement.h"
 
 namespace vnfsgx::core {
@@ -55,36 +55,33 @@ class AppraisalDatabase {
                                   const ima::MeasurementList& iml) const;
 
   /// Policy generation; bumped by every mutation (cache-key component).
-  std::uint64_t generation() const;
+  std::uint64_t generation() const { return cache_.generation(); }
 
   // Cache telemetry for tests/benches (also exported as
   // vnfsgx_cache_requests_total{cache="appraisal"}).
-  std::uint64_t cache_hits() const;
-  std::uint64_t cache_misses() const;
+  std::uint64_t cache_hits() const { return cache_.hits(); }
+  std::uint64_t cache_misses() const { return cache_.misses(); }
 
   std::size_t expected_file_count() const { return expected_files_.size(); }
 
  private:
-  void bump_generation();
+  // SHA-256 output is uniform: its first word is already a good hash.
+  struct DigestHash {
+    std::size_t operator()(const crypto::Sha256Digest& digest) const {
+      std::size_t h;
+      std::memcpy(&h, digest.data(), sizeof(h));
+      return h;
+    }
+  };
 
   std::map<std::string, ima::Digest> expected_files_;
   std::set<sgx::Measurement> allowed_enclaves_;
 
-  /// Memoization cache, striped by IML digest so concurrent enrollments on
-  /// different runtime shards don't serialize on one cache mutex. Each
-  /// stripe lazily re-syncs to the policy generation.
-  struct CacheStripe {
-    mutable std::mutex mutex;
-    mutable std::map<crypto::Sha256Digest, AppraisalResult> map;
-    mutable std::uint64_t generation = 0;
-    mutable std::uint64_t hits = 0;
-    mutable std::uint64_t misses = 0;
-  };
-  static constexpr std::size_t kCacheStripes = 8;
-  CacheStripe& stripe_for(const crypto::Sha256Digest& key) const;
-
-  std::atomic<std::uint64_t> generation_{0};
-  mutable CacheStripe cache_stripes_[kCacheStripes];
+  /// Memoized verdicts keyed by IML digest, invalidated by every policy
+  /// mutation (the cache's generation is the policy generation).
+  mutable obs::GenerationalCache<crypto::Sha256Digest, AppraisalResult,
+                                 DigestHash>
+      cache_{"appraisal", 1024};
 };
 
 }  // namespace vnfsgx::core

@@ -1,7 +1,5 @@
 #include "crypto/gcm.h"
 
-#include <atomic>
-
 #include "common/error.h"
 #include "crypto/ct.h"
 
@@ -13,8 +11,6 @@
 namespace vnfsgx::crypto {
 
 namespace {
-
-std::atomic<bool> g_constant_time{false};
 
 struct U128 {
   std::uint64_t hi = 0;
@@ -34,8 +30,8 @@ inline U128 mul_x(U128 v) {
 // polynomial x^128 + x^7 + x^2 + x + 1. Right-shift algorithm from
 // SP 800-38D, kept branchless: Z starts at 0, V starts at Y; for each bit
 // of X (MSB first) mask-XOR V into Z, then multiply V by x. This is the
-// constant-time fallback and the reference the table path is checked
-// against (tests cross-check the two on random inputs).
+// software path on CPUs without PCLMUL and the reference the hardware
+// multiplier is checked against (tests cross-check the two).
 U128 gf_mul(U128 x, U128 y) {
   U128 z{0, 0};
   U128 v = y;
@@ -50,23 +46,6 @@ U128 gf_mul(U128 x, U128 y) {
   return z;
 }
 
-// Key-independent reduction table for 8-bit shifts: rem8()[r] is the value
-// folded into the high word when a byte r is shifted out the low end.
-// Computed once from eight single-bit reduce-shifts per entry rather than
-// transcribed (Shoup's method; the table has only the top 16 bits set).
-const std::array<std::uint64_t, 256>& rem8() {
-  static const std::array<std::uint64_t, 256> table = [] {
-    std::array<std::uint64_t, 256> t{};
-    for (int r = 0; r < 256; ++r) {
-      U128 v{0, static_cast<std::uint64_t>(r)};
-      for (int i = 0; i < 8; ++i) v = mul_x(v);
-      t[static_cast<std::size_t>(r)] = v.hi;
-    }
-    return t;
-  }();
-  return table;
-}
-
 U128 load_block(const std::uint8_t* p) {
   U128 b;
   for (int i = 0; i < 8; ++i) b.hi = (b.hi << 8) | p[i];
@@ -79,62 +58,36 @@ void store_block(U128 b, std::uint8_t* p) {
   for (int i = 0; i < 8; ++i) p[8 + i] = static_cast<std::uint8_t>(b.lo >> (56 - i * 8));
 }
 
-// Shoup 4-bit tables for multiplication by a fixed H. hi_t[n] = n·H with
-// the nibble in the high-nibble slot of byte 0 (so hi_t[8] = H itself),
-// lo_t[n] = hi_t[n]·x^4 (the low-nibble slot).
-struct GhashTables {
-  U128 hi_t[16];
-  U128 lo_t[16];
-
-  GhashTables() = default;
-
-  explicit GhashTables(U128 h) {
-    hi_t[0] = U128{0, 0};
-    hi_t[8] = h;                  // degree-0 nibble bit
-    hi_t[4] = mul_x(hi_t[8]);
-    hi_t[2] = mul_x(hi_t[4]);
-    hi_t[1] = mul_x(hi_t[2]);
-    for (int n = 3; n < 16; ++n) {
-      if (n == 4 || n == 8) continue;
-      const int low = n & (-n);   // lowest set bit
-      hi_t[n] = U128{hi_t[n - low].hi ^ hi_t[low].hi,
-                     hi_t[n - low].lo ^ hi_t[low].lo};
+// Whole GHASH (AAD, ciphertext, length block) on the branchless gf_mul:
+// no table lookups and no data-dependent branches.
+U128 ghash_gfmul(U128 h, ByteView aad, ByteView ciphertext) {
+  U128 y{0, 0};
+  auto update = [&](ByteView data) {
+    std::size_t off = 0;
+    const std::size_t full_end = data.size() & ~static_cast<std::size_t>(15);
+    while (off < full_end) {
+      const U128 x = load_block(data.data() + off);
+      y.hi ^= x.hi;
+      y.lo ^= x.lo;
+      y = gf_mul(y, h);
+      off += 16;
     }
-    for (int n = 0; n < 16; ++n) {
-      U128 v = hi_t[n];
-      for (int i = 0; i < 4; ++i) v = mul_x(v);
-      lo_t[n] = v;
+    if (off < data.size()) {
+      std::uint8_t block[16] = {0};
+      for (std::size_t i = 0; off + i < data.size(); ++i) block[i] = data[off + i];
+      const U128 x = load_block(block);
+      y.hi ^= x.hi;
+      y.lo ^= x.lo;
+      y = gf_mul(y, h);
     }
-  }
-
-  // y·H: Horner over the 16 bytes of the key-mixed accumulator y, two table
-  // lookups per byte and one 8-bit reduce-shift between bytes (15 shifts
-  // per block).
-  U128 mul(U128 y_keyed) const {
-    const std::uint64_t* rem = rem8().data();
-    U128 z{0, 0};
-    bool first = true;
-    // ct-ok-begin: 4-bit table GHASH indexes on the H-mixed accumulator;
-    // this is the variable-time fast path — gcm_set_constant_time(true)
-    // selects the branchless gf_mul instead (docs/SECURITY.md).
-    // Bytes 15..8 live in y_keyed.lo (lsb first), bytes 7..0 in y_keyed.hi.
-    for (const std::uint64_t half : {y_keyed.lo, y_keyed.hi}) {
-      for (int k = 0; k < 8; ++k) {
-        if (!first) {
-          const std::uint64_t r = z.lo & 0xff;
-          z.lo = (z.lo >> 8) | (z.hi << 56);
-          z.hi = (z.hi >> 8) ^ rem[r];
-        }
-        first = false;
-        const std::uint8_t b = static_cast<std::uint8_t>(half >> (8 * k));
-        z.hi ^= hi_t[b >> 4].hi ^ lo_t[b & 0xf].hi;
-        z.lo ^= hi_t[b >> 4].lo ^ lo_t[b & 0xf].lo;
-      }
-    }
-    // ct-ok-end
-    return z;
-  }
-};
+  };
+  update(aad);
+  update(ciphertext);
+  // Length block: bit lengths of AAD and ciphertext.
+  y.hi ^= static_cast<std::uint64_t>(aad.size()) * 8;
+  y.lo ^= static_cast<std::uint64_t>(ciphertext.size()) * 8;
+  return gf_mul(y, h);
+}
 
 #if defined(VNFSGX_CLMUL_COMPILED)
 
@@ -149,7 +102,7 @@ bool cpu_has_clmul() {
 // Kounavis, Intel CLMUL white paper): four PCLMULQDQ partial products, a
 // 1-bit left shift to absorb GCM's bit reflection, then reduction mod
 // x^128 + x^7 + x^2 + x + 1 by shifts. No lookups, no branches —
-// constant-time by construction, so it serves both GHASH modes.
+// constant-time by construction.
 __attribute__((target("pclmul,sse2"))) __m128i gfmul_clmul(__m128i a,
                                                            __m128i b) {
   __m128i tmp3 = _mm_clmulepi64_si128(a, b, 0x00);
@@ -254,77 +207,26 @@ bool ghash_hw_available() {
 #endif
 }
 
-void gcm_set_constant_time(bool enabled) { g_constant_time = enabled; }
-bool gcm_constant_time() { return g_constant_time; }
-
 AesGcm::AesGcm(ByteView key) : aes_(key) {
   AesBlock zero{};
   AesBlock h = aes_.encrypt_block(zero);
   const U128 hb = load_block(h.data());
   ghash_key_->h_hi = hb.hi;
   ghash_key_->h_lo = hb.lo;
-  constant_time_ = g_constant_time;
-  GhashTables tables(hb);
-  for (int n = 0; n < 16; ++n) {
-    ghash_key_->table_hi[n][0] = tables.hi_t[n].hi;
-    ghash_key_->table_hi[n][1] = tables.hi_t[n].lo;
-    ghash_key_->table_lo[n][0] = tables.lo_t[n].hi;
-    ghash_key_->table_lo[n][1] = tables.lo_t[n].lo;
-  }
-  // Stack copies of H and the tables are key material too.
+  // The stack copy of H is key material too.
   secure_memzero(h.data(), h.size());
-  secure_memzero(&tables, sizeof(tables));
 }
 
 AesBlock AesGcm::ghash(ByteView aad, ByteView ciphertext) const {
   const U128 h{ghash_key_->h_hi, ghash_key_->h_lo};
+  AesBlock out;
 #if defined(VNFSGX_CLMUL_COMPILED)
-  // PCLMUL has no secret-indexed lookups, so it supersedes both software
-  // modes whenever the CPU offers it (the constant-time switch only picks
-  // between the software paths).
   if (cpu_has_clmul()) {
-    const U128 y = ghash_clmul(h, aad, ciphertext);
-    AesBlock out;
-    store_block(y, out.data());
+    store_block(ghash_clmul(h, aad, ciphertext), out.data());
     return out;
   }
 #endif
-  GhashTables tables;
-  for (int n = 0; n < 16; ++n) {
-    tables.hi_t[n] = U128{ghash_key_->table_hi[n][0], ghash_key_->table_hi[n][1]};
-    tables.lo_t[n] = U128{ghash_key_->table_lo[n][0], ghash_key_->table_lo[n][1]};
-  }
-  const bool ct = constant_time_;
-  auto mul_h = [&](U128 y) { return ct ? gf_mul(y, h) : tables.mul(y); };
-
-  U128 y{0, 0};
-  auto update = [&](ByteView data) {
-    std::size_t off = 0;
-    const std::size_t full_end = data.size() & ~static_cast<std::size_t>(15);
-    while (off < full_end) {
-      const U128 x = load_block(data.data() + off);
-      y.hi ^= x.hi;
-      y.lo ^= x.lo;
-      y = mul_h(y);
-      off += 16;
-    }
-    if (off < data.size()) {
-      std::uint8_t block[16] = {0};
-      for (std::size_t i = 0; off + i < data.size(); ++i) block[i] = data[off + i];
-      const U128 x = load_block(block);
-      y.hi ^= x.hi;
-      y.lo ^= x.lo;
-      y = mul_h(y);
-    }
-  };
-  update(aad);
-  update(ciphertext);
-  // Length block: bit lengths of AAD and ciphertext.
-  y.hi ^= static_cast<std::uint64_t>(aad.size()) * 8;
-  y.lo ^= static_cast<std::uint64_t>(ciphertext.size()) * 8;
-  y = mul_h(y);
-  AesBlock out;
-  store_block(y, out.data());
+  store_block(ghash_gfmul(h, aad, ciphertext), out.data());
   return out;
 }
 
@@ -403,11 +305,9 @@ AesBlock ghash_mul_reference(const AesBlock& x, const AesBlock& y) {
   return out;
 }
 
-AesBlock ghash_mul_table(const AesBlock& x, const AesBlock& y) {
-  const GhashTables tables(load_block(y.data()));
-  const U128 z = tables.mul(load_block(x.data()));
+AesBlock ghash_software(const AesBlock& h, ByteView aad, ByteView ciphertext) {
   AesBlock out;
-  store_block(z, out.data());
+  store_block(ghash_gfmul(load_block(h.data()), aad, ciphertext), out.data());
   return out;
 }
 

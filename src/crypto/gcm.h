@@ -3,13 +3,10 @@
 // The AEAD used everywhere: TLS records, SGX sealed blobs, and the
 // provisioning protocol's encrypted credential payloads.
 //
-// GHASH picks the fastest safe path at runtime: PCLMULQDQ carry-less
-// multiplication when the CPU has it (no lookups or branches — it serves
-// both timing modes), else Shoup's 4-bit tables (a 16-entry table of H·i,
-// per-key, built in the constructor, plus a key-independent 256-entry
-// reduction table). Table indices depend on secret data, so without
-// PCLMUL `gcm_set_constant_time(true)` selects the branchless
-// bit-at-a-time fallback (see docs/PROTOCOL.md, "Constant-time notes").
+// GHASH runs on PCLMULQDQ carry-less multiplication when the CPU has it,
+// else on the branchless bit-at-a-time GF(2^128) multiply. Neither path
+// indexes a table or branches on data, so both are constant-time (see
+// docs/PROTOCOL.md, "Constant-time notes").
 #pragma once
 
 #include <optional>
@@ -22,13 +19,6 @@ namespace vnfsgx::crypto {
 
 inline constexpr std::size_t kGcmTagSize = 16;
 inline constexpr std::size_t kGcmNonceSize = 12;
-
-/// Process-wide GHASH mode switch. When enabled, AesGcm instances
-/// constructed afterwards use the constant-time bit-at-a-time GF(2^128)
-/// multiply instead of the secret-indexed tables. Moot on CPUs with
-/// PCLMUL: the hardware path is constant-time and always preferred.
-void gcm_set_constant_time(bool enabled);
-bool gcm_constant_time();
 
 /// True when this build and CPU run GHASH on PCLMULQDQ.
 bool ghash_hw_available();
@@ -60,31 +50,27 @@ class AesGcm {
  private:
   AesBlock ghash(ByteView aad, ByteView ciphertext) const;
 
-  // GHASH key H = E_K(0^128) (split into 64-bit halves) plus the Shoup
-  // 4-bit tables derived from it: table_hi[n] = (nibble n in the
-  // high-nibble slot of byte 0)·H, table_lo[n] = the same shifted by x^4
-  // (low-nibble slot). All of it is key-equivalent, hence one Zeroizing
-  // block wiped on destruct.
+  // GHASH key H = E_K(0^128), split into 64-bit halves. Key-equivalent,
+  // hence wiped on destruct.
   struct GhashKey {
     std::uint64_t h_hi = 0;
     std::uint64_t h_lo = 0;
-    std::uint64_t table_hi[16][2];
-    std::uint64_t table_lo[16][2];
   };
 
   Aes aes_;
   Zeroizing<GhashKey> ghash_key_;
-  bool constant_time_ = false;
 };
 
 namespace detail {
 
 /// Test hooks: X·Y in GF(2^128) (GCM bit order) computed by the branchless
-/// bit-at-a-time reference path and by the table-driven path. The AEAD
-/// KATs pin the composite; these pin the multiplier itself on arbitrary
-/// inputs so the two code paths can be cross-checked exhaustively.
+/// bit-at-a-time software multiply, so the hardware multiplier can be
+/// cross-checked against it on arbitrary inputs.
 AesBlock ghash_mul_reference(const AesBlock& x, const AesBlock& y);
-AesBlock ghash_mul_table(const AesBlock& x, const AesBlock& y);
+/// GHASH_H(aad, ciphertext) on the software path whatever the CPU offers:
+/// partial-block padding, the AAD/ciphertext split and the length block,
+/// so tests can hold it against the tag AesGcm computes in hardware.
+AesBlock ghash_software(const AesBlock& h, ByteView aad, ByteView ciphertext);
 /// PCLMUL path when available (falls back to the reference otherwise, so
 /// cross-checks are trivially true on CPUs without it).
 AesBlock ghash_mul_clmul(const AesBlock& x, const AesBlock& y);

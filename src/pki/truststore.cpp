@@ -1,29 +1,8 @@
 #include "pki/truststore.h"
 
 #include "common/error.h"
-#include "obs/metrics.h"
 
 namespace vnfsgx::pki {
-
-namespace {
-
-constexpr std::size_t kMaxCachedVerdicts = 4096;
-
-obs::Counter& cache_counter(const char* result) {
-  return obs::registry().counter(
-      "vnfsgx_cache_requests_total",
-      {{"cache", "cert_validation"}, {"result", result}},
-      "Certificate-validation cache lookups by outcome");
-}
-
-obs::Counter& eviction_counter() {
-  return obs::registry().counter("vnfsgx_cache_evictions_total",
-                                 {{"cache", "cert_validation"}},
-                                 "Cached verdicts dropped (generation bump, "
-                                 "capacity, or explicit flush)");
-}
-
-}  // namespace
 
 std::string to_string(VerifyStatus status) {
   switch (status) {
@@ -56,7 +35,7 @@ void TrustStore::add_root(const Certificate& root) {
   }
   const std::unique_lock<std::shared_mutex> lock(mutex_);
   roots_.push_back(root);
-  generation_.fetch_add(1, std::memory_order_acq_rel);
+  cache_.bump();
 }
 
 void TrustStore::set_crl(const RevocationList& crl) {
@@ -68,7 +47,7 @@ void TrustStore::set_crl(const RevocationList& crl) {
   }
   // Invalidate before publishing the new list: once set_crl returns, no
   // cached verdict predating this CRL can be served.
-  generation_.fetch_add(1, std::memory_order_acq_rel);
+  cache_.bump();
   for (auto& existing : crls_) {
     if (existing.issuer == crl.issuer) {
       existing = crl;
@@ -81,7 +60,7 @@ void TrustStore::set_crl(const RevocationList& crl) {
 void TrustStore::set_attested_verifier(const AttestedCertVerifier* verifier) {
   verifier_.store(verifier, std::memory_order_release);
   // Cached verdicts may predate the delegation change; never serve them.
-  generation_.fetch_add(1, std::memory_order_acq_rel);
+  cache_.bump();
 }
 
 const Certificate* TrustStore::find_root_locked(
@@ -231,99 +210,28 @@ std::string TrustStore::cache_key(const Certificate& leaf,
   return key;
 }
 
-TrustStore::CacheStripe& TrustStore::stripe_for(const std::string& key) const {
-  return cache_stripes_[std::hash<std::string>{}(key) % kCacheStripes];
-}
-
-std::optional<TrustStore::CachedVerdict> TrustStore::cache_lookup(
-    const std::string& key) const {
-  CacheStripe& stripe = stripe_for(key);
-  const std::lock_guard<std::mutex> lock(stripe.mutex);
-  const std::uint64_t current = generation_.load(std::memory_order_acquire);
-  if (stripe.generation != current) {
-    if (!stripe.map.empty()) eviction_counter().add(stripe.map.size());
-    stripe.map.clear();
-    stripe.generation = current;
-  }
-  const auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) {
-    ++stripe.misses;
-    cache_counter("miss").add();
-    return std::nullopt;
-  }
-  ++stripe.hits;
-  cache_counter("hit").add();
-  return it->second;
-}
-
-void TrustStore::cache_store(const std::string& key,
-                             const CachedVerdict& verdict,
-                             std::uint64_t generation) const {
-  CacheStripe& stripe = stripe_for(key);
-  const std::lock_guard<std::mutex> lock(stripe.mutex);
-  const std::uint64_t current = generation_.load(std::memory_order_acquire);
-  // A verdict computed against an older truststore must never be published:
-  // a revocation may have landed between evaluation and now.
-  if (generation != current) return;
-  if (stripe.generation != current) {
-    if (!stripe.map.empty()) eviction_counter().add(stripe.map.size());
-    stripe.map.clear();
-    stripe.generation = current;
-  }
-  if (stripe.map.size() >= kMaxCachedVerdicts / kCacheStripes) {
-    stripe.map.erase(stripe.map.begin());
-    eviction_counter().add();
-  }
-  stripe.map[key] = verdict;
-}
-
-void TrustStore::flush_validation_cache() const {
-  for (CacheStripe& stripe : cache_stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe.mutex);
-    if (!stripe.map.empty()) eviction_counter().add(stripe.map.size());
-    stripe.map.clear();
-  }
-}
-
-std::uint64_t TrustStore::cache_hits() const {
-  std::uint64_t total = 0;
-  for (CacheStripe& stripe : cache_stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe.mutex);
-    total += stripe.hits;
-  }
-  return total;
-}
-
-std::uint64_t TrustStore::cache_misses() const {
-  std::uint64_t total = 0;
-  for (CacheStripe& stripe : cache_stripes_) {
-    const std::lock_guard<std::mutex> lock(stripe.mutex);
-    total += stripe.misses;
-  }
-  return total;
-}
+void TrustStore::flush_validation_cache() const { cache_.clear(); }
 
 VerifyResult TrustStore::verify(const Certificate& leaf, KeyUsage usage,
                                 UnixTime now) const {
   const std::string key = cache_key(leaf, usage);
-  if (const auto cached = cache_lookup(key)) return apply(*cached, now);
+  if (const auto cached = cache_.find(key)) return apply(*cached, now);
   CachedVerdict verdict;
   const AttestedCertVerifier* verifier =
       verifier_.load(std::memory_order_acquire);
   if (verifier && verifier->recognizes(leaf)) {
-    const std::uint64_t generation =
-        generation_.load(std::memory_order_acquire);
+    const std::uint64_t generation = cache_.generation();
     verdict = evaluate_attested(leaf, usage, *verifier);
-    cache_store(key, verdict, generation);
+    cache_.store(key, verdict, generation);
     return apply(verdict, now);
   }
   std::uint64_t generation = 0;
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
-    generation = generation_.load(std::memory_order_acquire);
+    generation = cache_.generation();
     verdict = evaluate_locked(leaf, usage);
   }
-  cache_store(key, verdict, generation);
+  cache_.store(key, verdict, generation);
   return apply(verdict, now);
 }
 
@@ -340,7 +248,7 @@ std::vector<VerifyResult> TrustStore::verify_batch(
 
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     keys[i] = cache_key(leaves[i], usage);
-    if (const auto cached = cache_lookup(keys[i])) {
+    if (const auto cached = cache_.find(keys[i])) {
       results[i] = apply(*cached, now);
       resolved[i] = true;
     }
@@ -359,8 +267,7 @@ std::vector<VerifyResult> TrustStore::verify_batch(
       ra_leaves.push_back(&leaves[i]);
     }
     if (!ra_idx.empty()) {
-      const std::uint64_t ra_generation =
-          generation_.load(std::memory_order_acquire);
+      const std::uint64_t ra_generation = cache_.generation();
       const std::vector<VerifyStatus> appraisals = verifier->appraise_batch(
           std::span<const Certificate* const>(ra_leaves));
       for (std::size_t j = 0; j < ra_idx.size(); ++j) {
@@ -376,7 +283,7 @@ std::vector<VerifyResult> TrustStore::verify_batch(
         } else {
           v.attested = true;
         }
-        cache_store(keys[i], v, ra_generation);
+        cache_.store(keys[i], v, ra_generation);
         results[i] = apply(v, now);
         resolved[i] = true;
       }
@@ -392,7 +299,7 @@ std::vector<VerifyResult> TrustStore::verify_batch(
   std::uint64_t generation = 0;
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
-    generation = generation_.load(std::memory_order_acquire);
+    generation = cache_.generation();
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       if (resolved[i]) continue;
       const Certificate& leaf = leaves[i];
@@ -449,7 +356,7 @@ std::vector<VerifyResult> TrustStore::verify_batch(
 
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     if (resolved[i]) continue;
-    cache_store(keys[i], verdicts[i], generation);
+    cache_.store(keys[i], verdicts[i], generation);
     results[i] = apply(verdicts[i], now);
   }
   return results;

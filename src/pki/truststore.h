@@ -8,15 +8,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sim_clock.h"
+#include "obs/generational_cache.h"
 #include "pki/certificate.h"
 #include "pki/crl.h"
 
@@ -134,9 +132,7 @@ class TrustStore {
 
   /// Truststore generation: bumped by every add_root/set_crl. Cached
   /// verdicts from older generations are never served.
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
+  std::uint64_t generation() const { return cache_.generation(); }
 
   /// Drop all cached verdicts (cold-cache benchmarking; never required for
   /// correctness — generation bumps already invalidate).
@@ -144,8 +140,8 @@ class TrustStore {
 
   // Cache telemetry for tests/benches (also exported as
   // vnfsgx_cache_requests_total{cache="cert_validation"}).
-  std::uint64_t cache_hits() const;
-  std::uint64_t cache_misses() const;
+  std::uint64_t cache_hits() const { return cache_.hits(); }
+  std::uint64_t cache_misses() const { return cache_.misses(); }
 
  private:
   // Time-independent portion of a verdict, cached per (fingerprint, usage).
@@ -169,31 +165,16 @@ class TrustStore {
                                   const AttestedCertVerifier& verifier) const;
   static VerifyResult apply(const CachedVerdict& verdict, UnixTime now);
   std::string cache_key(const Certificate& leaf, KeyUsage usage) const;
-  std::optional<CachedVerdict> cache_lookup(const std::string& key) const;
-  void cache_store(const std::string& key, const CachedVerdict& verdict,
-                   std::uint64_t generation) const;
 
   // Guards roots_/crls_; shared for verification, exclusive for updates.
   mutable std::shared_mutex mutex_;
   std::vector<Certificate> roots_;
   std::vector<RevocationList> crls_;
-  std::atomic<std::uint64_t> generation_{0};
   std::atomic<const AttestedCertVerifier*> verifier_{nullptr};
 
-  /// Validation cache, striped by cache-key hash so concurrent handshakes
-  /// on different runtime shards don't serialize on one cache mutex. Each
-  /// stripe carries its own lazily-synced generation stamp; the capacity
-  /// cap is split evenly across stripes.
-  struct CacheStripe {
-    mutable std::mutex mutex;
-    mutable std::unordered_map<std::string, CachedVerdict> map;
-    mutable std::uint64_t generation = 0;
-    mutable std::uint64_t hits = 0;
-    mutable std::uint64_t misses = 0;
-  };
-  static constexpr std::size_t kCacheStripes = 8;
-  CacheStripe& stripe_for(const std::string& key) const;
-  mutable CacheStripe cache_stripes_[kCacheStripes];
+  /// Validation cache; its generation is the truststore generation.
+  mutable obs::GenerationalCache<std::string, CachedVerdict> cache_{
+      "cert_validation", 4096};
 };
 
 }  // namespace vnfsgx::pki

@@ -3,7 +3,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
@@ -15,23 +14,18 @@ namespace vnfsgx::vnf {
 
 namespace {
 
+// kOpFlowStats reply tags.
 enum : std::uint8_t {
-  kTagSrcIp = 0x01,
-  kTagDstIp = 0x02,
-  kTagSrcPort = 0x03,
-  kTagDstPort = 0x04,
-  kTagProto = 0x05,
-  kTagInPort = 0x06,
-  kTagPayload = 0x07,
-  kTagVerdict = 0x08,
-  kTagRuleName = 0x09,
-  kTagCached = 0x0a,
   kTagFlows = 0x0b,
   kTagInspected = 0x0c,
   kTagDropped = 0x0d,
   kTagAlerted = 0x0e,
   kTagCacheHits = 0x0f,
 };
+
+static_assert(kMaxRuleNameBytes ==
+                  sgx::kMaxHostCallPayload - wire::kVerdictHeaderSize,
+              "a hit's verdict must fit one ring-slot result");
 
 constexpr std::uint8_t kVerdictForward = 0;
 constexpr std::uint8_t kVerdictDrop = 1;
@@ -42,14 +36,6 @@ Bytes inspection_enclave_code() {
       "vnfsgx inspection enclave v1.1\n"
       "role: in-enclave signature-match IDS\n"
       "guarantee: rules, flow table, and verdict cache never leave\n");
-}
-
-obs::Histogram& inspection_latency(const char* mode) {
-  auto& h = obs::registry().histogram(
-      "vnfsgx_inspection_latency_us", {{"mode", mode}},
-      obs::Histogram::latency_bounds_us(),
-      "Per-frame enclave inspection latency in microseconds");
-  return h;
 }
 
 // The trusted logic is shared by every worker a RingGroup runs, so all
@@ -64,8 +50,6 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
     switch (static_cast<InspectionOp>(opcode)) {
       case kOpLoadRules:
         return load_rules(input);
-      case kOpInspectPacket:
-        return inspect(input);
       case kOpSealRules:
         return seal_rules(services);
       case kOpRestoreRules:
@@ -76,8 +60,8 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
         clear_flows();
         return {};
       case kOpInspectFrame: {
-        // Zero-copy opcode arriving over a copying path (sync/batched):
-        // run the fixed-buffer handler into a local scratch.
+        // A frame arriving over a copying path (sync/batched): run the
+        // fixed-buffer handler into a local scratch.
         std::array<std::uint8_t, sgx::kMaxHostCallPayload> scratch;
         const std::size_t n = inspect_frame(input, scratch);
         return Bytes(scratch.begin(), scratch.begin() + n);
@@ -187,21 +171,22 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
     }
   }
 
-  /// The shared verdict core. Flow accounting and the sticky-drop cache
-  /// run under the flow shard's lock; the matcher scan runs with only the
-  /// rules reader lock held so concurrent workers scan in parallel. `emit`
-  /// is invoked exactly once, while the rule-name view is still pinned by
-  /// the locks, so implementations may serialize the view without copying.
-  template <typename Emit>
-  auto run_verdict(std::uint32_t src_ip, std::uint32_t dst_ip,
-                   std::uint16_t src_port, std::uint16_t dst_port,
-                   std::uint8_t proto, ByteView payload, Emit&& emit) {
+  /// FrameDescriptor in, FrameVerdict out, both through fixed buffers —
+  /// no trusted-side allocation for clean frames. Flow accounting and the
+  /// sticky-drop cache run under the flow shard's lock; the matcher scan
+  /// runs with only the rules reader lock held so concurrent workers scan
+  /// in parallel. The verdict is written while the rule name is still
+  /// pinned by the locks, so the name is serialized without a copy.
+  std::size_t inspect_frame(ByteView input, std::span<std::uint8_t> out) {
+    wire::FrameDescriptor header;
+    const ByteView payload = wire::decode_frame(input, &header);
     std::shared_lock<std::shared_mutex> rules_lk(rules_mutex_);
     if (!matcher_) {
       throw Error("inspection enclave: no rules loaded");
     }
-    const FlowKey key =
-        make_flow_key(src_ip, dst_ip, src_port, dst_port, proto);
+    const FlowKey key = make_flow_key(header.src_ip, header.dst_ip,
+                                      header.src_port, header.dst_port,
+                                      header.proto);
     FlowShard& shard = shard_for(key);
     inspected_.fetch_add(1, std::memory_order_relaxed);
     {
@@ -213,11 +198,11 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
         // Poisoned by an earlier packet: serve the sticky drop from cache.
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         dropped_.fetch_add(1, std::memory_order_relaxed);
-        return emit(kVerdictDrop, true,
-                    std::string_view(flow.poison_rule));
+        return wire::encode_verdict(kVerdictDrop, true, flow.poison_rule, out);
       }
     }
-    if (const auto hit = matcher_->match(payload, dst_port, proto)) {
+    if (const auto hit = matcher_->match(payload, header.dst_port,
+                                         header.proto)) {
       const InspectionRule& rule = rules_.rules()[*hit];
       if (rule.action == RuleAction::kDrop) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -231,46 +216,12 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
             it->second.poison_rule = rule.name;
           }
         }
-        return emit(kVerdictDrop, false, std::string_view(rule.name));
+        return wire::encode_verdict(kVerdictDrop, false, rule.name, out);
       }
       alerted_.fetch_add(1, std::memory_order_relaxed);
-      return emit(kVerdictAlert, false, std::string_view(rule.name));
+      return wire::encode_verdict(kVerdictAlert, false, rule.name, out);
     }
-    return emit(kVerdictForward, false, std::string_view());
-  }
-
-  Bytes inspect(ByteView input) {
-    pki::TlvReader r(input);
-    const std::uint32_t src_ip = r.expect_u32(kTagSrcIp);
-    const std::uint32_t dst_ip = r.expect_u32(kTagDstIp);
-    const std::uint32_t src_port = r.expect_u32(kTagSrcPort);
-    const std::uint32_t dst_port = r.expect_u32(kTagDstPort);
-    const std::uint8_t proto = r.expect_u8(kTagProto);
-    (void)r.expect_u32(kTagInPort);
-    const ByteView payload = r.expect(kTagPayload);
-    return run_verdict(
-        src_ip, dst_ip, static_cast<std::uint16_t>(src_port),
-        static_cast<std::uint16_t>(dst_port), proto, payload,
-        [](std::uint8_t verdict, bool cached, std::string_view rule) {
-          pki::TlvWriter w;
-          w.add_u8(kTagVerdict, verdict);
-          w.add_string(kTagRuleName, std::string(rule));
-          w.add_u8(kTagCached, cached ? 1 : 0);
-          return w.take();
-        });
-  }
-
-  /// The zero-copy hot path: FrameDescriptor in, FrameVerdict out, both
-  /// through fixed buffers — no trusted-side allocation for clean frames.
-  std::size_t inspect_frame(ByteView input, std::span<std::uint8_t> out) {
-    wire::FrameDescriptor header;
-    const ByteView payload = wire::decode_frame(input, &header);
-    return run_verdict(
-        header.src_ip, header.dst_ip, header.src_port, header.dst_port,
-        header.proto, payload,
-        [out](std::uint8_t verdict, bool cached, std::string_view rule) {
-          return wire::encode_verdict(verdict, cached, rule, out);
-        });
+    return wire::encode_verdict(kVerdictForward, false, {}, out);
   }
 
   Bytes flow_stats() {
@@ -314,40 +265,6 @@ sgx::Measurement inspection_enclave_measurement() {
   return sgx::measure_image(inspection_enclave_code(), 0);
 }
 
-Bytes encode_inspect_request(const dataplane::Packet& packet,
-                             std::uint16_t in_port) {
-  pki::TlvWriter w;
-  w.add_u32(kTagSrcIp, packet.src_ip);
-  w.add_u32(kTagDstIp, packet.dst_ip);
-  w.add_u32(kTagSrcPort, packet.src_port);
-  w.add_u32(kTagDstPort, packet.dst_port);
-  w.add_u8(kTagProto, static_cast<std::uint8_t>(packet.proto));
-  w.add_u32(kTagInPort, in_port);
-  w.add_bytes(kTagPayload, packet.payload);
-  return w.take();
-}
-
-dataplane::InspectionOutcome decode_inspect_response(ByteView response) {
-  pki::TlvReader r(response);
-  const std::uint8_t verdict = r.expect_u8(kTagVerdict);
-  dataplane::InspectionOutcome outcome;
-  outcome.rule = r.expect_string(kTagRuleName);
-  switch (verdict) {
-    case kVerdictForward:
-      outcome.verdict = dataplane::InspectVerdict::kForward;
-      break;
-    case kVerdictDrop:
-      outcome.verdict = dataplane::InspectVerdict::kDrop;
-      break;
-    case kVerdictAlert:
-      outcome.verdict = dataplane::InspectVerdict::kAlert;
-      break;
-    default:
-      throw ParseError("inspection: bad verdict byte");
-  }
-  return outcome;
-}
-
 // ---------------------------------------------------------------------------
 // InspectionClient (untrusted side)
 // ---------------------------------------------------------------------------
@@ -389,6 +306,34 @@ wire::FrameDescriptor make_descriptor(const dataplane::Packet& packet,
   return d;
 }
 
+// The copying paths (sync, batched) carry the frame in a buffer sized to
+// it, so they have no inline-payload limit.
+Bytes encode_frame_copy(const dataplane::Packet& packet,
+                        std::uint16_t in_port) {
+  Bytes frame(wire::kFrameHeaderSize + packet.payload.size());
+  wire::encode_frame(make_descriptor(packet, in_port), packet.payload, frame);
+  return frame;
+}
+
+// Rejected at the untrusted gate, before a ring slot is claimed.
+void check_inline_capacity(const dataplane::Packet& packet) {
+  if (packet.payload.size() > kMaxInlineFramePayload) {
+    throw Error("inspection: frame payload of " +
+                std::to_string(packet.payload.size()) +
+                " bytes exceeds inline descriptor capacity of " +
+                std::to_string(kMaxInlineFramePayload));
+  }
+}
+
+obs::Histogram& inspection_latency(InspectionClient::Mode mode) {
+  static const char* const kModeNames[] = {"sync", "batched", "switchless"};
+  return obs::registry().histogram(
+      "vnfsgx_inspection_latency_us",
+      {{"mode", kModeNames[static_cast<int>(mode)]}},
+      obs::Histogram::latency_bounds_us(),
+      "Per-frame enclave inspection latency in microseconds");
+}
+
 }  // namespace
 
 InspectionClient::InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
@@ -397,7 +342,9 @@ InspectionClient::InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
 
 InspectionClient::InspectionClient(std::shared_ptr<sgx::Enclave> enclave,
                                    Options options)
-    : enclave_(std::move(enclave)), options_(options) {
+    : enclave_(std::move(enclave)),
+      options_(options),
+      latency_(inspection_latency(options.mode)) {
   if (!enclave_) throw Error("inspection client: null enclave");
   if (options_.mode == Mode::kSwitchless) {
     sgx::RingGroupOptions group_options;
@@ -425,18 +372,11 @@ void InspectionClient::restore_rules(ByteView sealed) {
   dispatch(kOpRestoreRules, sealed);
 }
 
-dataplane::InspectionOutcome InspectionClient::inspect_frame_zero_copy(
+sgx::RingGroup::Ticket InspectionClient::submit_frame(
+    const sgx::RingGroup::SubmitHandle& handle,
     const dataplane::Packet& packet, std::uint16_t in_port) {
-  // Serialize once, straight into the claimed ring slot: no TLV buffer, no
-  // heap allocation anywhere on the submit path. The verdict comes back
-  // through a stack buffer the same way.
-  if (packet.payload.size() > kMaxInlineFramePayload) {
-    throw Error("inspection: frame payload of " +
-                std::to_string(packet.payload.size()) +
-                " bytes exceeds inline descriptor capacity of " +
-                std::to_string(kMaxInlineFramePayload));
-  }
-  sgx::RingGroup::SubmitHandle handle = group_->begin_submit(kOpInspectFrame);
+  // Serialize once, straight into the claimed ring slot: no intermediate
+  // buffer, no heap allocation anywhere on the submit path.
   std::size_t frame_len = 0;
   try {
     frame_len = wire::encode_frame(make_descriptor(packet, in_port),
@@ -446,28 +386,28 @@ dataplane::InspectionOutcome InspectionClient::inspect_frame_zero_copy(
     throw;
   }
   group_->publish(handle, frame_len);
-  std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
-  const std::size_t n = group_->wait_into(
-      sgx::RingGroup::Ticket{handle.ring, handle.inner.ticket}, result);
-  return decode_frame_verdict(ByteView(result.data(), n));
+  return sgx::RingGroup::Ticket{handle.ring, handle.inner.ticket};
 }
 
 dataplane::InspectionOutcome InspectionClient::inspect(
     const dataplane::Packet& packet, std::uint16_t in_port) {
-  static const char* const kModeNames[] = {"sync", "batched", "switchless"};
-  obs::Histogram& latency =
-      inspection_latency(kModeNames[static_cast<int>(options_.mode)]);
   const auto start = std::chrono::steady_clock::now();
   dataplane::InspectionOutcome outcome;
-  if (group_ && options_.codec == Codec::kZeroCopy) {
-    outcome = inspect_frame_zero_copy(packet, in_port);
+  if (group_) {
+    check_inline_capacity(packet);
+    const sgx::RingGroup::Ticket ticket = submit_frame(
+        group_->begin_submit(kOpInspectFrame), packet, in_port);
+    // The verdict comes back through a stack buffer: no heap either way.
+    std::array<std::uint8_t, sgx::kMaxHostCallPayload> result;
+    const std::size_t n = group_->wait_into(ticket, result);
+    outcome = decode_frame_verdict(ByteView(result.data(), n));
   } else {
-    outcome = decode_inspect_response(
-        dispatch(kOpInspectPacket, encode_inspect_request(packet, in_port)));
+    outcome = decode_frame_verdict(
+        enclave_->call(kOpInspectFrame, encode_frame_copy(packet, in_port)));
   }
   const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - start);
-  latency.observe(static_cast<double>(elapsed.count()) / 1000.0);
+  latency_.observe(static_cast<double>(elapsed.count()) / 1000.0);
   return outcome;
 }
 
@@ -502,17 +442,9 @@ InspectionClient::inspect_burst_switchless(
     const sgx::RingGroup::Ticket t = tickets[collected++];
     --inflight[t.ring];
     try {
-      if (options_.codec == Codec::kZeroCopy) {
-        const std::size_t n = group_->wait_into(t, result);
-        if (!first_error) {
-          outcomes.push_back(
-              decode_frame_verdict(ByteView(result.data(), n)));
-        }
-      } else {
-        Bytes response = group_->wait(t);
-        if (!first_error) {
-          outcomes.push_back(decode_inspect_response(response));
-        }
+      const std::size_t n = group_->wait_into(t, result);
+      if (!first_error) {
+        outcomes.push_back(decode_frame_verdict(ByteView(result.data(), n)));
       }
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
@@ -528,43 +460,9 @@ InspectionClient::inspect_burst_switchless(
     }
     if (first_error) break;
     try {
-      if (options_.codec == Codec::kZeroCopy) {
-        if (p.payload.size() > kMaxInlineFramePayload) {
-          throw Error("inspection: frame payload of " +
-                      std::to_string(p.payload.size()) +
-                      " bytes exceeds inline descriptor capacity of " +
-                      std::to_string(kMaxInlineFramePayload));
-        }
-        sgx::RingGroup::SubmitHandle handle =
-            group_->begin_submit_on(target, kOpInspectFrame);
-        std::size_t frame_len = 0;
-        try {
-          frame_len = wire::encode_frame(make_descriptor(p, in_port),
-                                         p.payload, handle.inner.payload);
-        } catch (...) {
-          group_->abandon(handle);
-          throw;
-        }
-        group_->publish(handle, frame_len);
-        tickets.push_back(
-            sgx::RingGroup::Ticket{handle.ring, handle.inner.ticket});
-      } else {
-        // Legacy TLV arm (the A/B baseline): per-frame heap encode, then
-        // one more copy into the slot.
-        const Bytes request = encode_inspect_request(p, in_port);
-        if (request.size() > sgx::kMaxHostCallPayload) {
-          throw Error("inspection: TLV request exceeds ring slot capacity");
-        }
-        sgx::RingGroup::SubmitHandle handle =
-            group_->begin_submit_on(target, kOpInspectPacket);
-        if (!request.empty()) {
-          std::memcpy(handle.inner.payload.data(), request.data(),
-                      request.size());
-        }
-        group_->publish(handle, request.size());
-        tickets.push_back(
-            sgx::RingGroup::Ticket{handle.ring, handle.inner.ticket});
-      }
+      check_inline_capacity(p);
+      tickets.push_back(submit_frame(
+          group_->begin_submit_on(target, kOpInspectFrame), p, in_port));
       ++inflight[target];
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
@@ -590,9 +488,6 @@ std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
     std::uint16_t in_port) {
   std::vector<dataplane::InspectionOutcome> outcomes;
   outcomes.reserve(packets.size());
-  static const char* const kModeNames[] = {"sync", "batched", "switchless"};
-  obs::Histogram& latency =
-      inspection_latency(kModeNames[static_cast<int>(options_.mode)]);
   const auto start = std::chrono::steady_clock::now();
   switch (options_.mode) {
     case Mode::kSync:
@@ -606,12 +501,12 @@ std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
       std::vector<sgx::BatchCall> jobs;
       jobs.reserve(packets.size());
       for (const dataplane::Packet* p : packets) {
-        jobs.push_back(sgx::BatchCall{kOpInspectPacket,
-                                      encode_inspect_request(*p, in_port)});
+        jobs.push_back(
+            sgx::BatchCall{kOpInspectFrame, encode_frame_copy(*p, in_port)});
       }
       for (const sgx::BatchResult& r : enclave_->call_batch(jobs)) {
         if (!r.ok) throw Error("inspection batch: " + r.error);
-        outcomes.push_back(decode_inspect_response(r.output));
+        outcomes.push_back(decode_frame_verdict(r.output));
       }
       break;
     }
@@ -626,7 +521,7 @@ std::vector<dataplane::InspectionOutcome> InspectionClient::inspect_burst(
         std::chrono::steady_clock::now() - start);
     const double per_frame_us = static_cast<double>(elapsed.count()) / 1000.0 /
                                 static_cast<double>(packets.size());
-    latency.observe(per_frame_us, packets.size());
+    latency_.observe(per_frame_us, packets.size());
   }
   return outcomes;
 }

@@ -8,13 +8,12 @@
 // kOpRestoreRules wrap the table with the platform seal keys, so rules are
 // confidentiality-protected exactly like VNF credentials.
 //
-// Two switchless wire formats coexist:
-//   * kOpInspectPacket (TLV) — the PR-6 format, kept for the sync/batched
-//     paths and as the A/B baseline in the boundary benchmarks.
-//   * kOpInspectFrame (FrameDescriptor) — the zero-copy hot path: a fixed
-//     POD header + inline frame bytes serialized once, directly into the
-//     ring slot, with the verdict returned in place (inspection_wire.h).
-// The trusted logic is thread-safe: a RingGroup runs one resident worker
+// Every path carries frames in one wire format, kOpInspectFrame
+// (inspection_wire.h): a fixed POD FrameDescriptor header plus the frame
+// bytes, answered by a FrameVerdict plus the matched rule name. Switchless
+// serializes it once, directly into the ring slot, and collects the
+// verdict in place; sync and batched carry it in a buffer sized to the
+// frame. The trusted logic is thread-safe: a RingGroup runs one resident worker
 // per ring, all dispatching into the same rule table and flow shards.
 #pragma once
 
@@ -28,15 +27,16 @@
 #include "vnf/inspection_rules.h"
 #include "vnf/inspection_wire.h"
 
+namespace vnfsgx::obs {
+class Histogram;
+}  // namespace vnfsgx::obs
+
 namespace vnfsgx::vnf {
 
 /// ECALL opcodes of the inspection enclave.
 enum InspectionOp : std::uint32_t {
   /// RuleSet TLV -> (). Installs + compiles the rule table, resets flows.
   kOpLoadRules = 1,
-  /// TLV{5-tuple, in_port, payload} -> TLV{verdict u8, rule, cached u8}.
-  /// Throws if no rules are loaded (the dataplane then fails closed).
-  kOpInspectPacket = 2,
   /// () -> sealed blob (MRENCLAVE policy) of the rule table.
   kOpSealRules = 3,
   /// sealed blob -> (). Restores a sealed rule table after a restart.
@@ -45,14 +45,15 @@ enum InspectionOp : std::uint32_t {
   kOpFlowStats = 5,
   /// () -> (). Clears the flow table and verdict cache; rules stay.
   kOpResetFlows = 6,
-  /// FrameDescriptor + inline payload -> FrameVerdict + rule name. The
-  /// zero-copy switchless path; same semantics as kOpInspectPacket.
+  /// FrameDescriptor + inline payload -> FrameVerdict + rule name.
+  /// Throws if no rules are loaded (the dataplane then fails closed).
   kOpInspectFrame = 7,
 };
 
-/// Largest frame payload the zero-copy path can inline in one ring slot.
+/// Largest frame payload the switchless path can inline in one ring slot.
 /// Comfortably above a 1500-byte MTU frame; larger payloads are rejected
-/// at the untrusted gate (the dataplane then fails closed).
+/// at the untrusted gate (the dataplane then fails closed). The copying
+/// sync and batched paths have no such limit.
 inline constexpr std::size_t kMaxInlineFramePayload =
     sgx::kMaxHostCallPayload - wire::kFrameHeaderSize;
 
@@ -75,10 +76,10 @@ class InspectionClient {
  public:
   enum class Mode { kSync, kBatched, kSwitchless };
 
-  /// Wire format used on the switchless hot path. kTlv is the PR-6 format
-  /// (per-frame TLV encode into a heap buffer, then copied into the slot);
-  /// kZeroCopy serializes the FrameDescriptor straight into the slot.
-  enum class Codec { kTlv, kZeroCopy };
+  /// Nothing reads Codec or Options::codec: every path uses the one frame
+  /// format. They remain only because perfbench/inspect.cpp:180 sets
+  /// `.codec`.
+  enum class Codec { kZeroCopy };
 
   struct Options {
     Mode mode = Mode::kSync;
@@ -99,7 +100,6 @@ class InspectionClient {
   InspectionClient& operator=(const InspectionClient&) = delete;
 
   Mode mode() const { return options_.mode; }
-  Codec codec() const { return options_.codec; }
   std::size_t rings() const { return group_ ? group_->rings() : 0; }
 
   void load_rules(const RuleSet& rules);
@@ -135,7 +135,8 @@ class InspectionClient {
 
  private:
   Bytes dispatch(std::uint32_t opcode, ByteView input);
-  dataplane::InspectionOutcome inspect_frame_zero_copy(
+  sgx::RingGroup::Ticket submit_frame(
+      const sgx::RingGroup::SubmitHandle& handle,
       const dataplane::Packet& packet, std::uint16_t in_port);
   std::vector<dataplane::InspectionOutcome> inspect_burst_switchless(
       std::span<const dataplane::Packet* const> packets,
@@ -143,12 +144,9 @@ class InspectionClient {
 
   std::shared_ptr<sgx::Enclave> enclave_;
   Options options_;
+  /// vnfsgx_inspection_latency_us{mode}, resolved once: the mode is fixed.
+  obs::Histogram& latency_;
   std::unique_ptr<sgx::RingGroup> group_;
 };
-
-/// Wire helpers, exposed for tests.
-Bytes encode_inspect_request(const dataplane::Packet& packet,
-                             std::uint16_t in_port);
-dataplane::InspectionOutcome decode_inspect_response(ByteView response);
 
 }  // namespace vnfsgx::vnf

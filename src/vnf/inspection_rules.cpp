@@ -24,6 +24,11 @@ enum : std::uint8_t {
 
 void RuleSet::add(InspectionRule rule) {
   if (rule.name.empty()) throw Error("inspection rules: empty rule name");
+  if (rule.name.size() > kMaxRuleNameBytes) {
+    throw Error("inspection rules: rule name of " +
+                std::to_string(rule.name.size()) + " bytes exceeds " +
+                std::to_string(kMaxRuleNameBytes));
+  }
   if (rule.pattern.empty()) {
     throw Error("inspection rules: rule '" + rule.name + "' has no pattern");
   }

@@ -36,11 +36,18 @@ struct InspectionRule {
   std::uint8_t proto = 0;  // IpProto numeric value (6 tcp, 17 udp, ...)
 };
 
+/// Longest rule name. A hit returns the name in its verdict, and the
+/// verdict (4-byte header + name) must fit one 2 KiB ring-slot result, or
+/// every matching frame would fail closed. inspection_enclave.cpp checks
+/// this against the ring constants.
+inline constexpr std::size_t kMaxRuleNameBytes = 2044;
+
 /// Ordered rule table. Drop rules outrank alert rules when several patterns
 /// hit the same packet; ties fall to insertion order.
 class RuleSet {
  public:
-  /// Add or replace (by name). Throws Error on empty name or pattern.
+  /// Add or replace (by name). Throws Error on an empty name or pattern
+  /// or a name longer than kMaxRuleNameBytes.
   void add(InspectionRule rule);
   const std::vector<InspectionRule>& rules() const { return rules_; }
   std::size_t size() const { return rules_.size(); }

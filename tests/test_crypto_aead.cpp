@@ -226,11 +226,13 @@ TEST(AesGcm, InPlaceMatchesAllocatingPath) {
   }
 }
 
-// Cross-check the table-driven GHASH multiplier against the branchless
-// bit-at-a-time reference on structured and random inputs. The two share no
-// code beyond mul_x, so agreement here pins the Shoup tables and the
-// byte-Horner reduction independently of the AEAD vectors.
-TEST(Ghash, TableMatchesReferenceExhaustiveRandom) {
+// Cross-check the PCLMUL GHASH multiplier against the branchless
+// bit-at-a-time reference on structured and random inputs. The two share
+// no code, so agreement here pins the hardware multiplier (and its
+// reduction) independently of the AEAD vectors. On CPUs without PCLMUL
+// the clmul hook degenerates to the reference; the structured identities
+// below still pin the reference itself.
+TEST(Ghash, ClmulMatchesReferenceExhaustiveRandom) {
   DeterministicRandom rng(0x9456);
   auto random_block = [&] {
     AesBlock b;
@@ -246,56 +248,83 @@ TEST(Ghash, TableMatchesReferenceExhaustiveRandom) {
   AesBlock ones;
   ones.fill(0xff);
   const AesBlock h = random_block();
-  EXPECT_EQ(detail::ghash_mul_table(zero, h), detail::ghash_mul_reference(zero, h));
-  EXPECT_EQ(detail::ghash_mul_table(one, h), detail::ghash_mul_reference(one, h));
-  EXPECT_EQ(detail::ghash_mul_table(one, h), h);
-  EXPECT_EQ(detail::ghash_mul_table(ones, h), detail::ghash_mul_reference(ones, h));
+  EXPECT_EQ(detail::ghash_mul_reference(zero, h), zero);
+  EXPECT_EQ(detail::ghash_mul_reference(one, h), h);
+  EXPECT_EQ(detail::ghash_mul_reference(h, one), h);
+  EXPECT_EQ(detail::ghash_mul_clmul(zero, h), detail::ghash_mul_reference(zero, h));
+  EXPECT_EQ(detail::ghash_mul_clmul(one, h), h);
+  EXPECT_EQ(detail::ghash_mul_clmul(ones, h), detail::ghash_mul_reference(ones, h));
   for (int bit = 0; bit < 128; ++bit) {
     AesBlock x{};
     x[static_cast<std::size_t>(bit / 8)] =
         static_cast<std::uint8_t>(0x80 >> (bit % 8));
-    EXPECT_EQ(detail::ghash_mul_table(x, h), detail::ghash_mul_reference(x, h))
+    EXPECT_EQ(detail::ghash_mul_clmul(x, h), detail::ghash_mul_reference(x, h))
         << "bit " << bit;
-    EXPECT_EQ(detail::ghash_mul_table(h, x), detail::ghash_mul_reference(h, x))
+    EXPECT_EQ(detail::ghash_mul_clmul(h, x), detail::ghash_mul_reference(h, x))
         << "bit " << bit;
   }
   for (int i = 0; i < 2000; ++i) {
     const AesBlock x = random_block();
     const AesBlock y = random_block();
-    ASSERT_EQ(detail::ghash_mul_table(x, y), detail::ghash_mul_reference(x, y))
-        << "iteration " << i;
-    // On CPUs with PCLMUL this pins the hardware multiplier against the
-    // reference too; elsewhere it degenerates to reference == reference.
     ASSERT_EQ(detail::ghash_mul_clmul(x, y), detail::ghash_mul_reference(x, y))
+        << "iteration " << i;
+    // The multiplier commutes; a reduction slip rarely preserves that.
+    ASSERT_EQ(detail::ghash_mul_reference(x, y), detail::ghash_mul_reference(y, x))
         << "iteration " << i;
   }
 }
 
-// The constant-time fallback must produce byte-identical AEAD output.
-TEST(AesGcm, ConstantTimeFallbackMatchesTables) {
-  ASSERT_FALSE(gcm_constant_time());
+// The tag the software GHASH would produce: GHASH_H(aad, ct) xor E_K(J0).
+Bytes software_tag(ByteView key, ByteView nonce, ByteView ciphertext,
+                   ByteView aad) {
+  const Aes aes(key);
+  const AesBlock h = aes.encrypt_block(AesBlock{});
+  AesBlock j0{};
+  std::copy(nonce.begin(), nonce.end(), j0.begin());
+  j0[15] = 1;
+  const AesBlock mask = aes.encrypt_block(j0);
+  const AesBlock s = detail::ghash_software(h, aad, ciphertext);
+  Bytes tag(kGcmTagSize);
+  for (std::size_t i = 0; i < kGcmTagSize; ++i) {
+    tag[i] = static_cast<std::uint8_t>(s[i] ^ mask[i]);
+  }
+  return tag;
+}
+
+// The whole software GHASH (padding of partial AAD and ciphertext blocks,
+// the AAD/ciphertext split, the length block) against the tag AesGcm
+// computes, which is the PCLMUL path whenever the CPU has it. Without
+// PCLMUL both sides run the software path and only the NIST vector below
+// is an independent check.
+TEST(AesGcm, SoftwareGhashMatchesHardware) {
   const Bytes key = from_hex("feffe9928665731c6d6a8f9467308308");
   const Bytes nonce = from_hex("cafebabefacedbaddecaf888");
   const Bytes pt = from_hex(
       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
   const Bytes aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-  const AesGcm table_gcm(key);
-  gcm_set_constant_time(true);
-  const AesGcm ct_gcm(key);  // snapshots the mode at construction
-  gcm_set_constant_time(false);
-
-  const Bytes table_out = table_gcm.seal(nonce, pt, aad);
-  const Bytes ct_out = ct_gcm.seal(nonce, pt, aad);
-  EXPECT_EQ(ct_out, table_out);
-  EXPECT_EQ(to_hex(ct_out),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
-            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+  const Bytes sealed = AesGcm(key).seal(nonce, pt, aad);
+  const ByteView ct = ByteView(sealed).first(pt.size());
+  // NIST case 4: 60-byte ciphertext, 20-byte AAD, both partial.
+  EXPECT_EQ(to_hex(software_tag(key, nonce, ct, aad)),
             "5bc94fbc3221a5db94fae95ae7121a47");
-  // Cross-mode open: the wire format is identical.
-  const auto opened = ct_gcm.open(nonce, table_out, aad);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, pt);
+
+  DeterministicRandom rng(0x6c4d);
+  for (const std::size_t size :
+       {0, 1, 15, 16, 17, 31, 32, 33, 255, 256, 1000, 16384}) {
+    const Bytes k = rng.bytes(16);
+    const Bytes n = rng.bytes(12);
+    const Bytes plain = rng.bytes(size);
+    const AesGcm gcm(k);
+    for (std::size_t aad_len = 0; aad_len <= 37; ++aad_len) {
+      const Bytes a = rng.bytes(aad_len);
+      const Bytes out = gcm.seal(n, plain, a);
+      const ByteView tag = ByteView(out).subspan(size);
+      ASSERT_EQ(to_hex(software_tag(k, n, ByteView(out).first(size), a)),
+                to_hex(tag))
+          << "size " << size << " aad " << aad_len;
+    }
+  }
 }
 
 // Property: round trip holds across plaintext sizes spanning block edges.

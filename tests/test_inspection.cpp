@@ -13,6 +13,8 @@
 
 #include "crypto/random.h"
 #include "dataplane/fabric.h"
+#include "obs/metrics.h"
+#include "pki/tlv.h"
 #include "sgx/platform.h"
 #include "vnf/inspection_enclave.h"
 
@@ -96,6 +98,13 @@ TEST(InspectionRulesTest, ValidatesOnAdd) {
   EXPECT_THROW(rules.add(InspectionRule{"no-pattern", {}, RuleAction::kDrop,
                                         0, 0}),
                Error);
+  // A hit's verdict carries the name back in one ring-slot result.
+  EXPECT_THROW(rules.add(make_rule(std::string(kMaxRuleNameBytes + 1, 'n'),
+                                   "x")),
+               Error);
+  rules.add(make_rule(std::string(kMaxRuleNameBytes, 'n'), "x"));
+  EXPECT_EQ(RuleSet::decode(rules.encode()).size(), 1u);
+  rules = RuleSet();
   rules.add(make_rule("a", "one"));
   rules.add(make_rule("a", "two"));  // replaces by name
   ASSERT_EQ(rules.size(), 1u);
@@ -399,17 +408,52 @@ TEST_F(InspectionFixture, InspectionRequiresRules) {
 }
 
 TEST_F(InspectionFixture, OverBoundRuleSetKeepsTheOldMatcher) {
-  InspectionClient client(load());
+  auto enclave = load();
+  InspectionClient client(enclave);
   client.load_rules(demo_rules());
   // The over-bound table is refused inside the enclave before it is built;
   // the installed rules keep enforcing.
   EXPECT_THROW(client.load_rules(table_bound_rules(1)), Error);
   EXPECT_EQ(client.inspect(make_packet("run /bin/sh"), 1).verdict,
             dp::InspectVerdict::kDrop);
+
+  // So is an over-long rule name, whose hits could never be answered.
+  // RuleSet::add refuses it on the host, so hand-build the blob (rule 0x01
+  // { name 0x02, pattern 0x03, action 0x04, dst_port 0x05, proto 0x06 })
+  // the way an untrusted provisioner could.
+  pki::TlvWriter rule;
+  rule.add_string(0x02, std::string(kMaxRuleNameBytes + 1, 'n'));
+  rule.add_bytes(0x03, to_bytes("admin"));
+  rule.add_u8(0x04, static_cast<std::uint8_t>(RuleAction::kAlert));
+  rule.add_u32(0x05, 0);
+  rule.add_u8(0x06, 0);
+  pki::TlvWriter blob;
+  blob.add_bytes(0x01, rule.bytes());
+  EXPECT_THROW(enclave->call(kOpLoadRules, blob.bytes()), Error);
+  EXPECT_EQ(client.inspect(make_packet("run /bin/sh", 80, 0x0a000003), 1)
+                .verdict,
+            dp::InspectVerdict::kDrop);
+
   client.load_rules(table_bound_rules(0));
   EXPECT_EQ(client.inspect(make_packet("run /bin/sh", 80, 0x0a000002), 1)
                 .verdict,
             dp::InspectVerdict::kForward);
+
+  // The longest accepted name comes back whole on every path.
+  const std::string longest(kMaxRuleNameBytes, 'n');
+  RuleSet at_bound;
+  at_bound.add(make_rule(longest, "admin admin", RuleAction::kAlert));
+  client.load_rules(at_bound);
+  const std::vector<dp::Packet> burst(4, make_packet("login: admin admin"));
+  for (const auto mode :
+       {InspectionClient::Mode::kSync, InspectionClient::Mode::kBatched,
+        InspectionClient::Mode::kSwitchless}) {
+    InspectionClient c(enclave, mode);
+    for (const auto& outcome : c.inspect_burst(burst, 1)) {
+      EXPECT_EQ(outcome.verdict, dp::InspectVerdict::kAlert);
+      EXPECT_EQ(outcome.rule, longest);
+    }
+  }
 }
 
 TEST_F(InspectionFixture, SealedRuleProvisioning) {
@@ -435,10 +479,17 @@ TEST_F(InspectionFixture, SealedRuleProvisioning) {
   EXPECT_THROW(victim.inspect(make_packet("x"), 1), Error);
 }
 
+obs::Histogram& latency_histogram(const char* mode) {
+  return obs::registry().histogram("vnfsgx_inspection_latency_us",
+                                   {{"mode", mode}});
+}
+
 TEST_F(InspectionFixture, BurstModesAgree) {
   auto enclave = load();
   std::vector<dp::Packet> burst;
   for (int i = 0; i < 24; ++i) {
+    // Verdicts depend only on the payload, never on inspection order, so
+    // multi-ring striping cannot change the expected outcome.
     burst.push_back(make_packet(i % 3 == 1 ? "payload /bin/sh inside"
                                            : "clean payload " +
                                                  std::to_string(i),
@@ -447,7 +498,10 @@ TEST_F(InspectionFixture, BurstModesAgree) {
 
   InspectionClient sync_client(enclave, InspectionClient::Mode::kSync);
   sync_client.load_rules(demo_rules());
+  const std::uint64_t sync_observed = latency_histogram("sync").count();
   const auto sync_out = sync_client.inspect_burst(burst, 1);
+  // One observation per frame, whatever the mode.
+  EXPECT_EQ(latency_histogram("sync").count() - sync_observed, burst.size());
 
   const sgx::EcallStats before = enclave->ecall_stats();
   InspectionClient batched(enclave, InspectionClient::Mode::kBatched);
@@ -457,19 +511,35 @@ TEST_F(InspectionFixture, BurstModesAgree) {
   // 24 frames, 1 reset, 1 crossing for the whole inspection batch.
   EXPECT_EQ(after.crossings - before.crossings, 2u);
 
-  InspectionClient switchless(enclave, InspectionClient::Mode::kSwitchless);
-  switchless.reset_flows();
-  const auto switchless_out = switchless.inspect_burst(burst, 1);
+  const std::uint64_t switchless_observed =
+      latency_histogram("switchless").count();
+  std::vector<std::vector<dp::InspectionOutcome>> switchless_outs;
+  for (const std::size_t rings : {1, 2}) {
+    InspectionClient::Options options;
+    options.mode = InspectionClient::Mode::kSwitchless;
+    options.rings = rings;
+    InspectionClient switchless(enclave, options);
+    ASSERT_EQ(switchless.rings(), rings);
+    switchless.reset_flows();
+    switchless_outs.push_back(switchless.inspect_burst(burst, 1));
+  }
+  EXPECT_EQ(latency_histogram("switchless").count() - switchless_observed,
+            2 * burst.size());
 
   ASSERT_EQ(sync_out.size(), burst.size());
   ASSERT_EQ(batched_out.size(), burst.size());
-  ASSERT_EQ(switchless_out.size(), burst.size());
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    EXPECT_EQ(sync_out[i].verdict, batched_out[i].verdict) << i;
-    EXPECT_EQ(sync_out[i].verdict, switchless_out[i].verdict) << i;
     const auto expected = i % 3 == 1 ? dp::InspectVerdict::kDrop
                                      : dp::InspectVerdict::kForward;
     EXPECT_EQ(sync_out[i].verdict, expected) << i;
+    EXPECT_EQ(sync_out[i].rule, i % 3 == 1 ? "exploit-shell" : "") << i;
+    EXPECT_EQ(batched_out[i].verdict, expected) << i;
+    EXPECT_EQ(batched_out[i].rule, sync_out[i].rule) << i;
+    for (const auto& out : switchless_outs) {
+      ASSERT_EQ(out.size(), burst.size());
+      EXPECT_EQ(out[i].verdict, expected) << i;
+      EXPECT_EQ(out[i].rule, sync_out[i].rule) << i;
+    }
   }
   EXPECT_GT(enclave->ecall_stats().switchless_jobs, 0u);
 }
@@ -592,49 +662,8 @@ TEST_F(InspectionFixture, SwitchlessInspectorOnThePuntPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy switchless path (FrameDescriptor codec + RingGroup)
+// Switchless path over a RingGroup
 // ---------------------------------------------------------------------------
-
-TEST_F(InspectionFixture, SwitchlessCodecsAgree) {
-  auto enclave = load();
-  std::vector<dp::Packet> burst;
-  for (int i = 0; i < 24; ++i) {
-    // Verdicts depend only on the payload, never on inspection order, so
-    // multi-ring striping cannot change the expected outcome.
-    burst.push_back(make_packet(i % 3 == 1 ? "payload /bin/sh inside"
-                                           : "clean payload " +
-                                                 std::to_string(i),
-                                80, 0x0a000300 + i));
-  }
-
-  InspectionClient sync_client(enclave, InspectionClient::Mode::kSync);
-  sync_client.load_rules(demo_rules());
-  const auto sync_out = sync_client.inspect_burst(burst, 1);
-
-  InspectionClient::Options tlv_options;
-  tlv_options.mode = InspectionClient::Mode::kSwitchless;
-  tlv_options.codec = InspectionClient::Codec::kTlv;
-  InspectionClient tlv(enclave, tlv_options);
-  tlv.reset_flows();
-  const auto tlv_out = tlv.inspect_burst(burst, 1);
-
-  InspectionClient::Options zc_options;
-  zc_options.mode = InspectionClient::Mode::kSwitchless;
-  zc_options.codec = InspectionClient::Codec::kZeroCopy;
-  zc_options.rings = 2;
-  InspectionClient zc(enclave, zc_options);
-  ASSERT_EQ(zc.rings(), 2u);
-  zc.reset_flows();
-  const auto zc_out = zc.inspect_burst(burst, 1);
-
-  ASSERT_EQ(tlv_out.size(), burst.size());
-  ASSERT_EQ(zc_out.size(), burst.size());
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    EXPECT_EQ(sync_out[i].verdict, tlv_out[i].verdict) << i;
-    EXPECT_EQ(sync_out[i].verdict, zc_out[i].verdict) << i;
-    EXPECT_EQ(sync_out[i].rule, zc_out[i].rule) << i;
-  }
-}
 
 TEST_F(InspectionFixture, StickyDropConsistentAcrossRings) {
   auto enclave = load();
@@ -662,13 +691,27 @@ TEST_F(InspectionFixture, StickyDropConsistentAcrossRings) {
 TEST_F(InspectionFixture, OversizedFrameFailsClosed) {
   auto enclave = load();
   InspectionClient client(enclave, InspectionClient::Mode::kSwitchless);
-  ASSERT_EQ(client.codec(), InspectionClient::Codec::kZeroCopy);
   client.load_rules(demo_rules());
 
   // One byte past the inline-descriptor limit: rejected at the untrusted
   // gate before any slot is claimed.
   const std::string big(kMaxInlineFramePayload + 1, 'x');
   EXPECT_THROW(client.inspect(make_packet(big, 80, 0x0a00aa01), 1), Error);
+  const std::vector<dp::Packet> big_burst(2, make_packet(big, 80, 0x0a00aa04));
+  EXPECT_THROW(client.inspect_burst(big_burst, 1), Error);
+
+  // The copying paths carry the frame in a buffer sized to it: the same
+  // frame still gets a verdict there.
+  InspectionClient sync_client(enclave, InspectionClient::Mode::kSync);
+  EXPECT_EQ(sync_client.inspect(make_packet(big, 80, 0x0a00aa05), 1).verdict,
+            dp::InspectVerdict::kForward);
+  InspectionClient batched(enclave, InspectionClient::Mode::kBatched);
+  const std::vector<dp::Packet> bad_big(
+      2, make_packet(big + "/bin/sh", 80, 0x0a00aa06));
+  for (const auto& outcome : batched.inspect_burst(bad_big, 1)) {
+    EXPECT_EQ(outcome.verdict, dp::InspectVerdict::kDrop);
+    EXPECT_EQ(outcome.rule, "exploit-shell");
+  }
 
   // Through the switch the same rejection fails closed, never open.
   dp::Switch sw(1);

@@ -19,6 +19,7 @@
 #include "json/json.h"
 #include "net/inmemory.h"
 #include "obs/export.h"
+#include "obs/generational_cache.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "vnf/functions.h"
@@ -232,6 +233,52 @@ TEST(RegistryTest, ConcurrentWritersAndCollectors) {
   reader.join();
   EXPECT_EQ(hits.value(), static_cast<std::uint64_t>(kThreads) * kEvents);
   EXPECT_EQ(lat.count(), static_cast<std::uint64_t>(kThreads) * kEvents);
+}
+
+// ---------------------------------------------------------------------------
+// GenerationalCache
+// ---------------------------------------------------------------------------
+
+TEST(GenerationalCacheTest, GenerationCapacityAndCounters) {
+  GenerationalCache<int, int> cache("test_generational", 16);  // 2 per stripe
+  Counter& hits = registry().counter(
+      "vnfsgx_cache_requests_total",
+      {{"cache", "test_generational"}, {"result", "hit"}});
+  Counter& evictions = registry().counter("vnfsgx_cache_evictions_total",
+                                          {{"cache", "test_generational"}});
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t evictions_before = evictions.value();
+
+  const std::uint64_t g0 = cache.generation();
+  EXPECT_FALSE(cache.find(1).has_value());
+  cache.store(1, 10, g0);
+  EXPECT_EQ(cache.find(1), 10);
+
+  // A value computed before a bump is never stored, and a bump hides
+  // what was stored before it.
+  cache.bump();
+  cache.store(2, 20, g0);
+  EXPECT_FALSE(cache.find(2).has_value());
+  EXPECT_FALSE(cache.find(1).has_value());
+
+  // Capacity: keys 0, 8 and 16 share a stripe (std::hash<int> is the
+  // identity), so the third store evicts one of the first two.
+  const std::uint64_t g1 = cache.generation();
+  cache.store(0, 0, g1);
+  cache.store(8, 8, g1);
+  cache.store(16, 16, g1);
+  EXPECT_EQ(cache.find(16), 16);
+  EXPECT_EQ(cache.find(0).has_value() + cache.find(8).has_value(), 1);
+
+  cache.clear();
+  EXPECT_FALSE(cache.find(16).has_value());
+  EXPECT_EQ(cache.generation(), g1);
+
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 5u);
+  EXPECT_EQ(hits.value() - hits_before, 3u);
+  // Key 1 after the bump, one capacity eviction, two entries at clear().
+  EXPECT_EQ(evictions.value() - evictions_before, 4u);
 }
 
 // ---------------------------------------------------------------------------
