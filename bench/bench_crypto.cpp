@@ -245,6 +245,32 @@ void BM_Ed25519Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify);
 
+// The same verify under a held key: the table of -A is built before the
+// loop, as every long-lived verifier holds it.
+void BM_Ed25519VerifyHeld(benchmark::State& state) {
+  DeterministicRandom rng(7);
+  const auto kp = ed25519_generate(rng);
+  const Bytes msg = rng.bytes(256);
+  const auto sig = ed25519_sign(kp.seed, msg);
+  const auto key = Ed25519VerifyingKey::from_public_key(kp.public_key);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        key->verify(msg, ByteView(sig.data(), sig.size())));
+  }
+}
+BENCHMARK(BM_Ed25519VerifyHeld);
+
+// What holding a key costs once: decode A and build its table.
+void BM_Ed25519VerifyingKeyBuild(benchmark::State& state) {
+  DeterministicRandom rng(7);
+  const auto kp = ed25519_generate(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Ed25519VerifyingKey::from_public_key(kp.public_key));
+  }
+}
+BENCHMARK(BM_Ed25519VerifyingKeyBuild);
+
 void BM_HkdfExpandLabel(benchmark::State& state) {
   DeterministicRandom rng(8);
   const Bytes secret = rng.bytes(32);

@@ -120,13 +120,17 @@ HostAttestation VerificationManager::attest_host_impl(net::Stream& channel,
   // authenticated TPM quote and cross-check the IML aggregate against
   // PCR 10. A root attacker who sanitized the IML before the enclave bound
   // it produces an aggregate that no longer matches the hardware PCR.
-  std::optional<crypto::Ed25519PublicKey> aik;
+  bool aik_enrolled = false;
+  std::optional<crypto::Ed25519VerifyingKey> aik;
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
     const auto it = platform_aiks_.find(result.platform_id);
-    if (it != platform_aiks_.end()) aik = it->second;
+    if (it != platform_aiks_.end()) {
+      aik_enrolled = true;
+      aik = it->second;
+    }
   }
-  if (aik) {
+  if (aik_enrolled) {
     if (response.tpm_quote.empty()) {
       result.reason = "TPM quote required but absent";
       return result;
@@ -138,7 +142,7 @@ HostAttestation VerificationManager::attest_host_impl(net::Stream& channel,
       result.reason = "TPM quote undecodable";
       return result;
     }
-    if (!tpm_quote.verify(*aik)) {
+    if (!aik || !tpm_quote.verify(*aik)) {
       result.reason = "TPM quote signature invalid";
       return result;
     }
@@ -445,8 +449,9 @@ std::optional<pki::Certificate> VerificationManager::enroll_vnf_impl(
 
 void VerificationManager::enroll_platform_aik(
     const sgx::PlatformId& platform_id, const crypto::Ed25519PublicKey& aik) {
+  auto key = crypto::Ed25519VerifyingKey::from_public_key(aik);
   const std::lock_guard<std::shared_mutex> lock(mutex_);
-  platform_aiks_[platform_id] = aik;
+  platform_aiks_[platform_id] = std::move(key);
 }
 
 pki::RevocationList VerificationManager::revoke_certificate(

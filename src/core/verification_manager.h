@@ -168,7 +168,10 @@ class VerificationManager {
   // changes take the exclusive side.
   mutable std::shared_mutex mutex_;
   std::set<sgx::PlatformId> trusted_platforms_;
-  std::map<sgx::PlatformId, crypto::Ed25519PublicKey> platform_aiks_;
+  // Enrolled AIKs, held for verifying (empty when the enrolled key does
+  // not decode: every TPM quote from that platform then fails).
+  std::map<sgx::PlatformId, std::optional<crypto::Ed25519VerifyingKey>>
+      platform_aiks_;
   struct AttestedVnf {
     crypto::Ed25519PublicKey public_key{};
     sgx::PlatformId platform_id{};

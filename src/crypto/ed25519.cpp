@@ -277,40 +277,39 @@ std::vector<Niels> to_niels_batch(const std::vector<Point>& pts) {
   return out;
 }
 
+// A fixed-window table of P: table[r][j] = (j+1)·2^(shift·r)·P for
+// r < Rows, j < 8, converted to Niels form with one shared inversion.
+template <std::size_t Rows>
+std::array<std::array<Niels, 8>, Rows> window_table(const Point& p,
+                                                    int shift) {
+  std::vector<Point> pts;
+  pts.reserve(Rows * 8);
+  Point row_base = p;  // 2^(shift·r)·P for the current row
+  for (std::size_t r = 0; r < Rows; ++r) {
+    Point q = row_base;
+    for (int j = 0; j < 8; ++j) {
+      pts.push_back(q);
+      if (j < 7) q = point_add(q, row_base);
+    }
+    if (r + 1 < Rows) {
+      for (int k = 0; k < shift; ++k) row_base = point_double(row_base);
+    }
+  }
+  const std::vector<Niels> niels = to_niels_batch(pts);
+  std::array<std::array<Niels, 8>, Rows> table;
+  for (std::size_t r = 0; r < Rows; ++r) {
+    for (std::size_t j = 0; j < 8; ++j) table[r][j] = niels[r * 8 + j];
+  }
+  return table;
+}
+
 // base_table()[i][j] = (j+1)·16^(2i)·B, built once at first use.
-const std::array<std::array<Niels, 8>, 32>& base_table();
-
-// Odd multiples B, 3B, ..., 15B for the Straus/wNAF verification path.
-const std::array<Niels, 8>& base_odd_table();
-
 const std::array<std::array<Niels, 8>, 32>& base_table() {
-  static const std::array<std::array<Niels, 8>, 32> value = [] {
-    std::vector<Point> pts;
-    pts.reserve(32 * 8);
-    Point window_base = base_point();  // 16^(2i)·B for the current window
-    for (int i = 0; i < 32; ++i) {
-      Point q = window_base;
-      for (int j = 0; j < 8; ++j) {
-        pts.push_back(q);
-        if (j < 7) q = point_add(q, window_base);
-      }
-      if (i < 31) {
-        for (int k = 0; k < 8; ++k) window_base = point_double(window_base);
-      }
-    }
-    const std::vector<Niels> niels = to_niels_batch(pts);
-    std::array<std::array<Niels, 8>, 32> table;
-    for (int i = 0; i < 32; ++i) {
-      for (int j = 0; j < 8; ++j) {
-        table[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-            niels[static_cast<std::size_t>(i * 8 + j)];
-      }
-    }
-    return table;
-  }();
+  static const auto value = window_table<32>(base_point(), 8);
   return value;
 }
 
+// Odd multiples B, 3B, ..., 15B for the Straus/wNAF verification path.
 const std::array<Niels, 8>& base_odd_table() {
   static const std::array<Niels, 8> value = [] {
     std::vector<Point> pts;
@@ -374,6 +373,36 @@ Point base_scalar_mul(const std::array<std::uint8_t, 32>& scalar_le) {
   for (int i = 0; i < 64; i += 2) {
     h = madd_digit(h, table[static_cast<std::size_t>(i / 2)],
                    e[static_cast<std::size_t>(i)]);
+  }
+  return h;
+}
+
+// The table an Ed25519VerifyingKey holds: (j+1)·16^(4r)·(-A), r < 16.
+using KeyTable = std::array<std::array<Niels, 8>, 16>;
+
+// k·(-A) + s·B from -A's key table and the base table. Digit position
+// i = 4r + p of k sits in key row r at pass p; the passes run p = 3, 2, 1,
+// 0 with a ×16 (4 doublings) between them, so pass p's additions end up
+// multiplied by 16^p. The base table's rows are 16^(2q) apart, so s's odd
+// digits join pass 1 and its even digits pass 0: 12 doublings in all.
+Point held_double_scalarmult(const KeyTable& key, const Scalar& k,
+                             const Scalar& s) {
+  const auto& base = base_table();
+  const auto ek = to_radix16(k);
+  const auto es = to_radix16(s);
+  Point h = point_identity();
+  for (std::size_t pass = 4; pass-- > 0;) {
+    if (pass < 3) {
+      for (int d = 0; d < 4; ++d) h = point_double(h);
+    }
+    for (std::size_t r = 0; r < 16; ++r) {
+      h = madd_digit(h, key[r], ek[4 * r + pass]);
+    }
+    if (pass < 2) {
+      for (std::size_t q = 0; q < 32; ++q) {
+        h = madd_digit(h, base[q], es[2 * q + pass]);
+      }
+    }
   }
   return h;
 }
@@ -521,12 +550,38 @@ std::array<std::uint8_t, 32> clamp_scalar(const std::uint8_t h[32]) {
   return a;
 }
 
-// The shared input validation of single and batch verification:
-// signature length, canonical s (< L), decodable A, and the challenge
-// scalar k = SHA512(R || A || M) mod L. R is not decoded here: single
-// verification only compares encodings (an R that does not decode, or
-// decodes from a non-canonical encoding, never equals the canonical
-// encoding of the computed point), and batch verification decodes it.
+// The checks every verification path makes on the signature before any
+// point arithmetic: its length and a canonical s (< L). Returns s.
+std::optional<Scalar> signature_scalar(ByteView signature) {
+  if (signature.size() != kEd25519SignatureSize) return std::nullopt;
+  Scalar s{};
+  std::memcpy(s.data(), signature.data() + 32, 32);
+  // ct-ok: s is the signature scalar, a public input to verification.
+  if (!scalar_is_canonical(s)) return std::nullopt;
+  return s;
+}
+
+// The challenge scalar k = SHA512(R || A || M) mod L.
+Scalar challenge(ByteView signature, const Ed25519PublicKey& public_key,
+                 ByteView message) {
+  Sha512 hk;
+  hk.update(signature.subspan(0, 32));
+  hk.update(public_key);
+  hk.update(message);
+  return scalar_reduce(hk.finish());
+}
+
+// k·(-A) + s·B == R, compared by encoding. R is never decoded: an R that
+// does not decode, or decodes from a non-canonical encoding, never equals
+// the canonical encoding of the computed point.
+bool matches_r(const Point& check, ByteView signature) {
+  const auto check_enc = point_encode(check);
+  return std::memcmp(check_enc.data(), signature.data(), 32) == 0;
+}
+
+// The shared input validation of single and batch verification: the
+// signature checks above, a decodable A, and the challenge scalar. R is
+// not decoded here; batch verification decodes it.
 struct DecodedVerify {
   Point a;      // public-key point
   Scalar s{};   // canonical scalar s
@@ -535,25 +590,13 @@ struct DecodedVerify {
 
 std::optional<DecodedVerify> decode_for_verify(
     const Ed25519PublicKey& public_key, ByteView message, ByteView signature) {
-  if (signature.size() != kEd25519SignatureSize) return std::nullopt;
-  const ByteView r_enc = signature.subspan(0, 32);
-
-  DecodedVerify out;
-  std::memcpy(out.s.data(), signature.data() + 32, 32);
-  // ct-ok: s is the signature scalar, a public input to verification.
-  if (!scalar_is_canonical(out.s)) return std::nullopt;
-
+  const auto s = signature_scalar(signature);
+  // ct-ok: verification inputs (public key, signature) are public values.
+  if (!s) return std::nullopt;
   const auto a_point = point_decode(public_key);
   // ct-ok: the public key is a public input to verification.
   if (!a_point) return std::nullopt;
-  out.a = *a_point;
-
-  Sha512 hk;
-  hk.update(r_enc);
-  hk.update(public_key);
-  hk.update(message);
-  out.k = scalar_reduce(hk.finish());
-  return out;
+  return DecodedVerify{*a_point, *s, challenge(signature, public_key, message)};
 }
 
 bool point_is_identity(const Point& p) {
@@ -622,11 +665,42 @@ bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
   if (!decoded) return false;
 
   // Check s*B == R + k*A  <=>  k*(-A) + s*B == R, computed in one
-  // interleaved Straus pass with shared doublings, compared by encoding.
-  const Point check =
-      double_scalarmult_vartime(decoded->k, point_neg(decoded->a), decoded->s);
-  const auto check_enc = point_encode(check);
-  return std::memcmp(check_enc.data(), signature.data(), 32) == 0;
+  // interleaved Straus pass with shared doublings.
+  return matches_r(
+      double_scalarmult_vartime(decoded->k, point_neg(decoded->a), decoded->s),
+      signature);
+}
+
+struct Ed25519VerifyingKey::Table {
+  Ed25519PublicKey public_key{};
+  KeyTable neg_a;  // neg_a[0][0] is -A itself
+};
+
+Ed25519VerifyingKey::Ed25519VerifyingKey(std::shared_ptr<const Table> table)
+    : table_(std::move(table)) {}
+
+std::optional<Ed25519VerifyingKey> Ed25519VerifyingKey::from_public_key(
+    const Ed25519PublicKey& public_key) {
+  const auto a_point = point_decode(public_key);
+  // ct-ok: the public key is a public input to verification.
+  if (!a_point) return std::nullopt;
+  auto table = std::make_shared<Table>();
+  table->public_key = public_key;
+  table->neg_a = window_table<16>(point_neg(*a_point), 16);
+  return Ed25519VerifyingKey(std::move(table));
+}
+
+const Ed25519PublicKey& Ed25519VerifyingKey::public_key() const {
+  return table_->public_key;
+}
+
+bool Ed25519VerifyingKey::verify(ByteView message, ByteView signature) const {
+  // The checks of ed25519_verify in the same order; A decoded at build.
+  const auto s = signature_scalar(signature);
+  // ct-ok: s is the signature scalar, a public input to verification.
+  if (!s) return false;
+  const Scalar k = challenge(signature, table_->public_key, message);
+  return matches_r(held_double_scalarmult(table_->neg_a, k, *s), signature);
 }
 
 std::vector<bool> ed25519_verify_batch(std::span<const Ed25519BatchItem> items,
@@ -796,6 +870,15 @@ std::array<std::uint8_t, 32> base_mul_ladder(
 std::array<std::uint8_t, 32> base_mul_windowed(
     const std::array<std::uint8_t, 32>& scalar_le) {
   return point_encode(base_scalar_mul(scalar_le));
+}
+
+std::optional<std::array<std::uint8_t, 32>> point_add_encoded(
+    const std::array<std::uint8_t, 32>& p,
+    const std::array<std::uint8_t, 32>& q) {
+  const auto pp = point_decode(p);
+  const auto qq = point_decode(q);
+  if (!pp || !qq) return std::nullopt;
+  return point_encode(point_add(*pp, *qq));
 }
 
 std::array<std::uint8_t, 32> scalar_reduce(ByteView wide64) {

@@ -5,12 +5,21 @@
 // (the simulator's EPID stand-in), and IAS report signatures.
 //
 // Fixed-base scalar multiplications (keygen, sign) run against a
-// precomputed 32x8 window table of base-point multiples; verification uses
-// an interleaved Straus double-scalar multiplication. Both are
-// variable-time — see docs/PROTOCOL.md, "Constant-time notes".
+// precomputed 32x8 window table of base-point multiples. Verification has
+// two paths, chosen by what the caller holds:
+//   * a long-lived key (the IAS report key, registered quoting-enclave
+//     keys, CA anchors, TPM AIKs) is held as an Ed25519VerifyingKey, which
+//     builds a 16x8 window table of -A once; each verify is then table
+//     lookups for both scalars in one radix-16 pass with 12 doublings;
+//   * a key seen once (a fresh VNF key's CertificateVerify, fleet batches)
+//     goes through ed25519_verify / ed25519_verify_batch, an interleaved
+//     Straus double-scalar multiplication that needs no table.
+// Both give bit-identical verdicts. All of them are variable-time on
+// public inputs only — see docs/PROTOCOL.md, "Constant-time notes".
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -61,6 +70,37 @@ class Ed25519SigningKey {
   Ed25519PublicKey public_key_{};
 };
 
+/// A public key prepared for repeated verification: the decoded point -A
+/// and a fixed-window table of its multiples, (j+1)·16^(4r)·(-A) for 16
+/// rows r and 8 multiples j (15 KiB), built once (about 1.5 one-off
+/// verifies' worth). verify() then needs 12 doublings instead of the ~253
+/// of the Straus pass, and no square root to decode A.
+///
+/// Immutable; copies share the table, so a holder can hand the key out
+/// under its lock without copying 15 KiB. A public key that does not decode
+/// to a curve point yields no object at all: holders keep
+/// std::optional<Ed25519VerifyingKey> and reject every signature when it is
+/// empty, exactly as ed25519_verify rejects them for that key.
+class Ed25519VerifyingKey {
+ public:
+  /// The prepared key, or nullopt when `public_key` is not a canonical
+  /// point encoding.
+  static std::optional<Ed25519VerifyingKey> from_public_key(
+      const Ed25519PublicKey& public_key);
+
+  const Ed25519PublicKey& public_key() const;
+
+  /// Verdict bit-identical to ed25519_verify(public_key(), message,
+  /// signature).
+  bool verify(ByteView message, ByteView signature) const;
+
+ private:
+  struct Table;
+  explicit Ed25519VerifyingKey(std::shared_ptr<const Table> table);
+
+  std::shared_ptr<const Table> table_;
+};
+
 /// Derive the public key from a seed.
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed);
 
@@ -71,7 +111,9 @@ Ed25519KeyPair ed25519_generate(RandomSource& rng);
 /// call; callers that sign more than once hold an Ed25519SigningKey.
 Ed25519Signature ed25519_sign(const Ed25519Seed& seed, ByteView message);
 
-/// Verify. Rejects non-canonical s (s >= L) and undecodable points.
+/// Verify under a key seen once. Rejects non-canonical s (s >= L) and
+/// undecodable points. Callers that verify under the same key again hold
+/// an Ed25519VerifyingKey.
 bool ed25519_verify(const Ed25519PublicKey& public_key, ByteView message,
                     ByteView signature);
 
@@ -121,6 +163,12 @@ std::array<std::uint8_t, 32> base_mul_ladder(
     const std::array<std::uint8_t, 32>& scalar_le);
 std::array<std::uint8_t, 32> base_mul_windowed(
     const std::array<std::uint8_t, 32>& scalar_le);
+
+/// Test hook: the encoding of P + Q for two encoded points, or nullopt
+/// when either does not decode (builds mixed- and small-order keys).
+std::optional<std::array<std::uint8_t, 32>> point_add_encoded(
+    const std::array<std::uint8_t, 32>& p,
+    const std::array<std::uint8_t, 32>& q);
 
 /// Test hooks for the scalar arithmetic mod L: reduction of a 64-byte
 /// little-endian value, and (a·b + c) mod L for 32-byte little-endian

@@ -17,6 +17,78 @@ struct U128 {
   std::uint64_t lo = 0;
 };
 
+// Carry-less 64x64 multiply, low 64 bits of the product, from ordinary
+// integer multiplies (BearSSL's ghash_ctmul64 construction). Each operand
+// is split into four masks keeping every fourth bit; in a product of two
+// such masks, terms that land on the same bit position are at least 4
+// positions apart in each operand, so at most 16 ones sum into any
+// position and their carries only reach the holes that the final masks
+// discard. No branch and no memory index depends on the operands.
+inline std::uint64_t clmul_lo(std::uint64_t x, std::uint64_t y) {
+  constexpr std::uint64_t m0 = 0x1111111111111111ULL;
+  constexpr std::uint64_t m1 = 0x2222222222222222ULL;
+  constexpr std::uint64_t m2 = 0x4444444444444444ULL;
+  constexpr std::uint64_t m3 = 0x8888888888888888ULL;
+  const std::uint64_t x0 = x & m0, x1 = x & m1, x2 = x & m2, x3 = x & m3;
+  const std::uint64_t y0 = y & m0, y1 = y & m1, y2 = y & m2, y3 = y & m3;
+  const std::uint64_t z0 = (x0 * y0) ^ (x1 * y3) ^ (x2 * y2) ^ (x3 * y1);
+  const std::uint64_t z1 = (x0 * y1) ^ (x1 * y0) ^ (x2 * y3) ^ (x3 * y2);
+  const std::uint64_t z2 = (x0 * y2) ^ (x1 * y1) ^ (x2 * y0) ^ (x3 * y3);
+  const std::uint64_t z3 = (x0 * y3) ^ (x1 * y2) ^ (x2 * y1) ^ (x3 * y0);
+  return (z0 & m0) | (z1 & m1) | (z2 & m2) | (z3 & m3);
+}
+
+// Bit reversal of a 64-bit word.
+inline std::uint64_t rev64(std::uint64_t x) {
+  x = ((x & 0x5555555555555555ULL) << 1) | ((x >> 1) & 0x5555555555555555ULL);
+  x = ((x & 0x3333333333333333ULL) << 2) | ((x >> 2) & 0x3333333333333333ULL);
+  x = ((x & 0x0f0f0f0f0f0f0f0fULL) << 4) | ((x >> 4) & 0x0f0f0f0f0f0f0f0fULL);
+  x = ((x & 0x00ff00ff00ff00ffULL) << 8) | ((x >> 8) & 0x00ff00ff00ff00ffULL);
+  x = ((x & 0x0000ffff0000ffffULL) << 16) | ((x >> 16) & 0x0000ffff0000ffffULL);
+  return (x << 32) | (x >> 32);
+}
+
+// Bit-reflected multiplication in GF(2^128) with the GCM polynomial
+// x^128 + x^7 + x^2 + x + 1, constant-time. Karatsuba over the two 64-bit
+// halves; the high half of each 128-bit partial product is the bit-reversed
+// low half of the product of the bit-reversed operands. The 256-bit result
+// is shifted left one bit (GCM's reflection) and reduced by shifts. This is
+// the software path on CPUs without PCLMUL; tests check it against the
+// bit-serial reference below, the hardware multiplier and the NIST vectors.
+U128 gf_mul(U128 x, U128 y) {
+  const std::uint64_t x0 = x.lo, x1 = x.hi, y0 = y.lo, y1 = y.hi;
+  const std::uint64_t x0r = rev64(x0), x1r = rev64(x1);
+  const std::uint64_t y0r = rev64(y0), y1r = rev64(y1);
+  const std::uint64_t z0 = clmul_lo(x0, y0);
+  const std::uint64_t z1 = clmul_lo(x1, y1);
+  std::uint64_t z2 = clmul_lo(x0 ^ x1, y0 ^ y1);
+  std::uint64_t z0h = clmul_lo(x0r, y0r);
+  std::uint64_t z1h = clmul_lo(x1r, y1r);
+  std::uint64_t z2h = clmul_lo(x0r ^ x1r, y0r ^ y1r);
+  z2 ^= z0 ^ z1;
+  z2h ^= z0h ^ z1h;
+  z0h = rev64(z0h) >> 1;
+  z1h = rev64(z1h) >> 1;
+  z2h = rev64(z2h) >> 1;
+
+  // The 255-bit product v3:v2:v1:v0, shifted left one bit.
+  std::uint64_t v0 = z0;
+  std::uint64_t v1 = z0h ^ z2;
+  std::uint64_t v2 = z1 ^ z2h;
+  std::uint64_t v3 = z1h;
+  v3 = (v3 << 1) | (v2 >> 63);
+  v2 = (v2 << 1) | (v1 >> 63);
+  v1 = (v1 << 1) | (v0 >> 63);
+  v0 <<= 1;
+
+  // Fold the low 128 bits into the high 128 bits modulo the polynomial.
+  v2 ^= v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
+  v1 ^= (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
+  v3 ^= v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
+  v2 ^= (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
+  return U128{v3, v2};
+}
+
 // Multiply by x: right shift with the reduction constant 0xE1 << 120
 // folded back in when the x^127 coefficient (the lsb) drops out.
 inline U128 mul_x(U128 v) {
@@ -26,13 +98,12 @@ inline U128 mul_x(U128 v) {
   return v;
 }
 
-// Bit-reflected carry-less multiplication in GF(2^128) with the GCM
-// polynomial x^128 + x^7 + x^2 + x + 1. Right-shift algorithm from
-// SP 800-38D, kept branchless: Z starts at 0, V starts at Y; for each bit
-// of X (MSB first) mask-XOR V into Z, then multiply V by x. This is the
-// software path on CPUs without PCLMUL and the reference the hardware
-// multiplier is checked against (tests cross-check the two).
-U128 gf_mul(U128 x, U128 y) {
+// The same product by the right-shift algorithm of SP 800-38D, one bit of
+// X per step: Z starts at 0, V at Y; for each bit of X (MSB first) XOR V
+// into Z when the bit is set, then multiply V by x. Only the test hook
+// ghash_mul_reference runs it: it is the spec-level oracle that gf_mul and
+// the hardware multiplier are checked against.
+U128 gf_mul_bitwise(U128 x, U128 y) {
   U128 z{0, 0};
   U128 v = y;
   for (int i = 0; i < 128; ++i) {
@@ -299,6 +370,13 @@ std::optional<Bytes> AesGcm::open(ByteView nonce, ByteView ciphertext_and_tag,
 namespace detail {
 
 AesBlock ghash_mul_reference(const AesBlock& x, const AesBlock& y) {
+  const U128 z = gf_mul_bitwise(load_block(x.data()), load_block(y.data()));
+  AesBlock out;
+  store_block(z, out.data());
+  return out;
+}
+
+AesBlock ghash_mul_software(const AesBlock& x, const AesBlock& y) {
   const U128 z = gf_mul(load_block(x.data()), load_block(y.data()));
   AesBlock out;
   store_block(z, out.data());
@@ -320,7 +398,7 @@ AesBlock ghash_mul_clmul(const AesBlock& x, const AesBlock& y) {
     return out;
   }
 #endif
-  return ghash_mul_reference(x, y);
+  return ghash_mul_software(x, y);
 }
 
 }  // namespace detail

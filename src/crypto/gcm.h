@@ -63,16 +63,19 @@ class AesGcm {
 
 namespace detail {
 
-/// Test hooks: X·Y in GF(2^128) (GCM bit order) computed by the branchless
-/// bit-at-a-time software multiply, so the hardware multiplier can be
-/// cross-checked against it on arbitrary inputs.
+/// Test hooks: X·Y in GF(2^128) (GCM bit order) computed by the
+/// bit-at-a-time multiply of SP 800-38D, the oracle both fast multipliers
+/// are cross-checked against on arbitrary inputs.
 AesBlock ghash_mul_reference(const AesBlock& x, const AesBlock& y);
+/// X·Y by the software multiply GHASH runs on CPUs without PCLMUL
+/// (masked integer multiplies).
+AesBlock ghash_mul_software(const AesBlock& x, const AesBlock& y);
 /// GHASH_H(aad, ciphertext) on the software path whatever the CPU offers:
 /// partial-block padding, the AAD/ciphertext split and the length block,
 /// so tests can hold it against the tag AesGcm computes in hardware.
 AesBlock ghash_software(const AesBlock& h, ByteView aad, ByteView ciphertext);
-/// PCLMUL path when available (falls back to the reference otherwise, so
-/// cross-checks are trivially true on CPUs without it).
+/// PCLMUL path when available (falls back to the software multiply
+/// otherwise).
 AesBlock ghash_mul_clmul(const AesBlock& x, const AesBlock& y);
 
 }  // namespace detail

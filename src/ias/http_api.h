@@ -42,8 +42,8 @@ class IasClient {
 
   /// Submit a quote and return the AVR *without* checking its signature:
   /// the fleet path defers that to one Ed25519 batch verification across
-  /// all attestations. Callers must check avr.verify(report_signing_key())
-  /// (or batch-equivalent) before trusting the report.
+  /// all attestations. Callers must check the signature under
+  /// report_signing_key() (or batch-equivalent) before trusting the report.
   VerificationReport fetch_report_unverified(ByteView quote_bytes);
 
   const crypto::Ed25519PublicKey& report_signing_key() const {
@@ -56,6 +56,9 @@ class IasClient {
  private:
   std::shared_ptr<http::ClientPool> pool_;
   crypto::Ed25519PublicKey signing_key_;
+  // The report-signing key held for verifying; empty when the pinned key
+  // does not decode, and then every report is refused.
+  std::optional<crypto::Ed25519VerifyingKey> report_key_;
 };
 
 }  // namespace vnfsgx::ias

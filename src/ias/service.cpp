@@ -58,9 +58,10 @@ sgx::PlatformId VerificationReport::platform_id() const {
   return sgx::Quote::decode(quote_bytes).platform_id;
 }
 
-bool VerificationReport::verify(const crypto::Ed25519PublicKey& ias_key) const {
-  return crypto::ed25519_verify(ias_key, to_bytes(body_json),
-                                ByteView(signature.data(), signature.size()));
+bool VerificationReport::verify(
+    const crypto::Ed25519VerifyingKey& ias_key) const {
+  return ias_key.verify(to_bytes(body_json),
+                        ByteView(signature.data(), signature.size()));
 }
 
 IasService::IasService(crypto::RandomSource& rng, const Clock& clock)
@@ -70,8 +71,9 @@ IasService::IasService(crypto::RandomSource& rng, const Clock& clock)
 
 void IasService::register_platform(
     const sgx::PlatformId& id, const crypto::Ed25519PublicKey& attestation_key) {
+  auto key = crypto::Ed25519VerifyingKey::from_public_key(attestation_key);
   const std::lock_guard<std::mutex> lock(mutex_);
-  platforms_[id] = attestation_key;
+  platforms_[id] = std::move(key);
   VNFSGX_LOG_INFO("ias", "platform registered (EPID join)");
 }
 
@@ -87,7 +89,7 @@ bool IasService::is_revoked(const sgx::PlatformId& id) const {
   return it != revoked_.end() && it->second;
 }
 
-std::optional<crypto::Ed25519PublicKey> IasService::attestation_key(
+std::optional<crypto::Ed25519VerifyingKey> IasService::attestation_key(
     const sgx::PlatformId& id) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto revoked = revoked_.find(id);
@@ -105,7 +107,7 @@ VerificationReport IasService::verify_quote(ByteView quote_bytes) {
     return sign_report(QuoteStatus::kMalformed, quote_bytes, nullptr);
   }
 
-  crypto::Ed25519PublicKey attestation_key;
+  std::optional<crypto::Ed25519VerifyingKey> attestation_key;
   bool known = false;
   bool revoked = false;
   {
@@ -124,9 +126,10 @@ VerificationReport IasService::verify_quote(ByteView quote_bytes) {
   if (revoked) {
     return sign_report(QuoteStatus::kGroupRevoked, quote_bytes, &quote);
   }
-  if (!crypto::ed25519_verify(attestation_key, quote.encode_tbs(),
-                              ByteView(quote.signature.data(),
-                                       quote.signature.size()))) {
+  if (!attestation_key ||
+      !attestation_key->verify(quote.encode_tbs(),
+                               ByteView(quote.signature.data(),
+                                        quote.signature.size()))) {
     return sign_report(QuoteStatus::kSignatureInvalid, quote_bytes, &quote);
   }
   return sign_report(QuoteStatus::kOk, quote_bytes, &quote);

@@ -45,8 +45,9 @@ struct VerificationReport {
   sgx::ReportBody quoted_enclave() const;
   sgx::PlatformId platform_id() const;
 
-  /// Verify the report signature against the IAS signing key.
-  bool verify(const crypto::Ed25519PublicKey& ias_key) const;
+  /// Verify the report signature under the IAS signing key, held for
+  /// verifying.
+  bool verify(const crypto::Ed25519VerifyingKey& ias_key) const;
 };
 
 class IasService {
@@ -61,11 +62,13 @@ class IasService {
   void revoke_platform(const sgx::PlatformId& id);
   bool is_revoked(const sgx::PlatformId& id) const;
 
-  /// The attestation key registered for a platform, or nullopt when the
-  /// platform is unknown or revoked. This is the trust-anchor lookup RA-TLS
-  /// verifiers bind into their policy: quote appraisal happens at the
-  /// relying party instead of a verify_quote round trip to the service.
-  std::optional<crypto::Ed25519PublicKey> attestation_key(
+  /// The attestation key registered for a platform, held for verifying,
+  /// or nullopt when the platform is unknown or revoked or its registered
+  /// key does not decode. This is the trust-anchor lookup RA-TLS verifiers
+  /// bind into their policy: quote appraisal happens at the relying party
+  /// instead of a verify_quote round trip to the service. The returned key
+  /// shares the service's table.
+  std::optional<crypto::Ed25519VerifyingKey> attestation_key(
       const sgx::PlatformId& id) const;
 
   /// Verify an encoded quote; always returns a signed report (errors are
@@ -88,7 +91,10 @@ class IasService {
   crypto::RandomSource& rng_;
   const Clock& clock_;
   const crypto::Ed25519SigningKey signing_key_;
-  std::map<sgx::PlatformId, crypto::Ed25519PublicKey> platforms_;
+  // Registered attestation keys, held for verifying (empty when the
+  // registered key does not decode: every quote then fails its signature).
+  std::map<sgx::PlatformId, std::optional<crypto::Ed25519VerifyingKey>>
+      platforms_;
   std::map<sgx::PlatformId, bool> revoked_;
   std::uint64_t next_report_id_ = 1;
 };

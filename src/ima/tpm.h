@@ -40,8 +40,9 @@ struct TpmQuote {
   Bytes encode() const;
   static TpmQuote decode(ByteView data);
 
-  /// Verify against the platform's AIK public key.
-  bool verify(const crypto::Ed25519PublicKey& aik) const;
+  /// Verify against the platform's AIK, held for verifying (the
+  /// Verification Manager keeps one per enrolled platform).
+  bool verify(const crypto::Ed25519VerifyingKey& aik) const;
 };
 
 class Tpm {

@@ -1,6 +1,7 @@
 #include "pki/ca.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/metrics.h"
 
@@ -118,19 +119,33 @@ Certificate CertificateAuthority::issue(
 }
 
 RevocationList CertificateAuthority::revoke(std::uint64_t serial) {
+  return revoke(std::span<const std::uint64_t>(&serial, 1));
+}
+
+RevocationList CertificateAuthority::revoke(
+    std::span<const std::uint64_t> serials) {
+  std::vector<std::uint64_t> fresh(serials.begin(), serials.end());
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto pos = std::upper_bound(revoked_.begin(), revoked_.end(), serial);
-  if (pos == revoked_.end()) {
-    // Common case (serials revoke in roughly issue order): extend the
-    // cached TLV block instead of re-encoding the whole set.
-    revoked_.push_back(serial);
-    const Bytes one = encode_crl_serials({&serial, 1});
-    serial_block_.insert(serial_block_.end(), one.begin(), one.end());
+  std::erase_if(fresh, [this](std::uint64_t s) {
+    return std::binary_search(revoked_.begin(), revoked_.end(), s);
+  });
+  if (fresh.empty() || revoked_.empty() || fresh.front() > revoked_.back()) {
+    // Common case (serials revoke in roughly issue order, or none is new):
+    // extend the cached TLV block instead of re-encoding the whole set.
+    revoked_.insert(revoked_.end(), fresh.begin(), fresh.end());
+    const Bytes tail = encode_crl_serials(fresh);
+    serial_block_.insert(serial_block_.end(), tail.begin(), tail.end());
   } else {
-    revoked_.insert(pos, serial);
+    std::vector<std::uint64_t> merged;
+    merged.reserve(revoked_.size() + fresh.size());
+    std::merge(revoked_.begin(), revoked_.end(), fresh.begin(), fresh.end(),
+               std::back_inserter(merged));
+    revoked_ = std::move(merged);
     serial_block_ = encode_crl_serials(revoked_);
   }
-  revocation_counter().add();
+  revocation_counter().add(fresh.size());
   return build_crl_locked();
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/sim_clock.h"
@@ -53,8 +54,14 @@ class CertificateAuthority {
                     std::uint8_t key_usage,
                     std::int64_t validity_seconds = 24 * 3600);
 
-  /// Add a serial to the revocation set and return the re-signed CRL.
+  /// Add a serial to the revocation set and return the re-signed CRL. A
+  /// serial already on the list stays listed once.
   RevocationList revoke(std::uint64_t serial);
+
+  /// Add a batch of serials (any order, duplicates allowed) with one
+  /// sorted merge, one serial-block encoding and one signature. The CRL
+  /// lists exactly the serials that revoking them one at a time would.
+  RevocationList revoke(std::span<const std::uint64_t> serials);
 
   /// Current signed CRL.
   RevocationList current_crl() const;

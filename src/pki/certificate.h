@@ -65,8 +65,10 @@ struct Certificate {
   Bytes encode() const;
   static Certificate decode(ByteView data);
 
-  /// Check this certificate's signature against an issuer public key.
+  /// Check this certificate's signature against an issuer key: a public
+  /// key seen once, or a held trust anchor.
   bool verify_signature(const crypto::Ed25519PublicKey& issuer_key) const;
+  bool verify_signature(const crypto::Ed25519VerifyingKey& issuer_key) const;
 
   /// Validity window test.
   bool valid_at(UnixTime now) const {

@@ -29,7 +29,7 @@ struct RevocationList {
   Bytes encode() const;
   static RevocationList decode(ByteView data);
 
-  bool verify_signature(const crypto::Ed25519PublicKey& issuer_key) const;
+  bool verify_signature(const crypto::Ed25519VerifyingKey& issuer_key) const;
   bool is_revoked(std::uint64_t serial) const;
 };
 

@@ -128,7 +128,8 @@ class TrustStore {
                             std::span<const Certificate> intermediates,
                             KeyUsage usage, UnixTime now) const;
 
-  const std::vector<Certificate>& roots() const { return roots_; }
+  /// The trusted root certificates, in the order they were added.
+  std::vector<Certificate> roots() const;
 
   /// Truststore generation: bumped by every add_root/set_crl. Cached
   /// verdicts from older generations are never served.
@@ -157,7 +158,14 @@ class TrustStore {
     UnixTime not_after = 0;
   };
 
-  const Certificate* find_root_locked(const DistinguishedName& issuer) const;
+  // A trusted root and its key, held for verifying (a root only gets
+  // here after its self-signature verified, so the key always decodes).
+  struct Root {
+    Certificate cert;
+    crypto::Ed25519VerifyingKey key;
+  };
+
+  const Root* find_root_locked(const DistinguishedName& issuer) const;
   VerifyResult verify_link_to_root_locked(const Certificate& cert,
                                           UnixTime now) const;
   CachedVerdict evaluate_locked(const Certificate& leaf, KeyUsage usage) const;
@@ -168,7 +176,7 @@ class TrustStore {
 
   // Guards roots_/crls_; shared for verification, exclusive for updates.
   mutable std::shared_mutex mutex_;
-  std::vector<Certificate> roots_;
+  std::vector<Root> roots_;
   std::vector<RevocationList> crls_;
   std::atomic<const AttestedCertVerifier*> verifier_{nullptr};
 

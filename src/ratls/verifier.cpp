@@ -86,9 +86,8 @@ pki::VerifyStatus Verifier::appraise(const pki::Certificate& leaf) const {
         policy_.attestation_key(evidence->quote.platform_id);
     if (!attestation_key) {
       why = "unknown_platform";
-    } else if (!crypto::ed25519_verify(*attestation_key,
-                                       evidence->quote.encode_tbs(),
-                                       sig_view(evidence->quote.signature))) {
+    } else if (!attestation_key->verify(evidence->quote.encode_tbs(),
+                                        sig_view(evidence->quote.signature))) {
       why = "quote_signature";
     }
   }
@@ -133,7 +132,7 @@ std::vector<pki::VerifyStatus> Verifier::appraise_batch(
     items.push_back(self_sig);
     messages.push_back(evidence[i]->quote.encode_tbs());
     crypto::Ed25519BatchItem quote_sig;
-    quote_sig.public_key = *attestation_key;
+    quote_sig.public_key = attestation_key->public_key();
     quote_sig.signature = sig_view(evidence[i]->quote.signature);
     items.push_back(quote_sig);
   }

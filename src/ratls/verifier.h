@@ -31,9 +31,12 @@ namespace vnfsgx::ratls {
 /// these to IasService platform registrations and the Verification
 /// Manager's AppraisalDatabase.
 struct VerifierPolicy {
-  /// Attestation public key for a platform, from IAS provisioning state;
-  /// nullopt for unknown or revoked platforms. Required.
-  std::function<std::optional<crypto::Ed25519PublicKey>(
+  /// Attestation key for a platform, from IAS provisioning state, held
+  /// for verifying (IasService::attestation_key shares the service's
+  /// table); nullopt for unknown or revoked platforms and for a registered
+  /// key that does not decode, all metered as `unknown_platform`.
+  /// Required.
+  std::function<std::optional<crypto::Ed25519VerifyingKey>(
       const sgx::PlatformId&)>
       attestation_key;
   /// Enclave-measurement whitelist (AppraisalDatabase::enclave_allowed).

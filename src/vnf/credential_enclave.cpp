@@ -228,14 +228,26 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
     const std::uint64_t token = r.expect_u64(kTagStreamToken);
     const UnixTime now = static_cast<UnixTime>(r.expect_u64(kTagNow));
     const std::string expected_name = r.expect_string(kTagExpectedName);
-    const pki::Certificate ca_root =
-        pki::Certificate::decode(r.expect(kTagCaRoot));
+    // Copied in once: it is compared below and decoded only if it changed.
+    const ByteView ca_root_in = r.expect(kTagCaRoot);
+    Bytes ca_root(ca_root_in.begin(), ca_root_in.end());
 
     if (!services.vault().contains("cert")) {
       throw Error("credential enclave: no certificate installed");
     }
-    truststore_ = std::make_unique<pki::TrustStore>();
-    truststore_->add_root(ca_root);
+    // A new session replaces the old one, whose config points at the state
+    // replaced below.
+    session_.reset();
+    // The trust store lives across sessions: its root's held key and the
+    // controller certificate's cached verdict serve every later session
+    // (the validity window is still checked at each session's `now`). It
+    // is rebuilt only when the CA root handed in changes.
+    if (!truststore_ || ca_root != ca_root_encoding_) {
+      auto store = std::make_unique<pki::TrustStore>();
+      store->add_root(pki::Certificate::decode(ca_root));
+      truststore_ = std::move(store);
+      ca_root_encoding_ = std::move(ca_root);
+    }
     clock_ = std::make_unique<FixedClock>(now);
     rng_ = std::make_unique<ServicesRng>(services);
 
@@ -340,8 +352,10 @@ class CredentialEnclaveLogic final : public sgx::TrustedLogic {
   }
 
   std::optional<crypto::Ed25519SigningKey> key_;  // mirrors the vault seed
-  // In-enclave TLS state: session keys live and die here.
+  // In-enclave TLS state: session keys live and die here; the trust store
+  // and the encoding of the CA root it was built from outlive sessions.
   std::unique_ptr<pki::TrustStore> truststore_;
+  Bytes ca_root_encoding_;
   std::unique_ptr<FixedClock> clock_;
   std::unique_ptr<ServicesRng> rng_;
   std::unique_ptr<tls::Session> session_;

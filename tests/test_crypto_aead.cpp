@@ -274,6 +274,49 @@ TEST(Ghash, ClmulMatchesReferenceExhaustiveRandom) {
   }
 }
 
+TEST(Ghash, SoftwareMatchesReferenceExhaustiveRandom) {
+  DeterministicRandom rng(0x9457);
+  auto random_block = [&] {
+    AesBlock b;
+    const Bytes r = rng.bytes(16);
+    std::copy(r.begin(), r.end(), b.begin());
+    return b;
+  };
+  AesBlock zero{};
+  AesBlock one{};
+  one[0] = 0x80;
+  AesBlock ones;
+  ones.fill(0xff);
+  const AesBlock h = random_block();
+  EXPECT_EQ(detail::ghash_mul_software(zero, h), zero);
+  EXPECT_EQ(detail::ghash_mul_software(one, h), h);
+  EXPECT_EQ(detail::ghash_mul_software(h, one), h);
+  EXPECT_EQ(detail::ghash_mul_software(ones, ones),
+            detail::ghash_mul_reference(ones, ones));
+  // Every pair of single-bit elements: each partial product and each
+  // reduction term on its own.
+  for (int a = 0; a < 128; ++a) {
+    for (int b = 0; b < 128; ++b) {
+      AesBlock x{};
+      AesBlock y{};
+      x[static_cast<std::size_t>(a / 8)] =
+          static_cast<std::uint8_t>(0x80 >> (a % 8));
+      y[static_cast<std::size_t>(b / 8)] =
+          static_cast<std::uint8_t>(0x80 >> (b % 8));
+      ASSERT_EQ(detail::ghash_mul_software(x, y),
+                detail::ghash_mul_reference(x, y))
+          << "bits " << a << ", " << b;
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const AesBlock x = random_block();
+    const AesBlock y = random_block();
+    ASSERT_EQ(detail::ghash_mul_software(x, y),
+              detail::ghash_mul_reference(x, y))
+        << "iteration " << i;
+  }
+}
+
 // The tag the software GHASH would produce: GHASH_H(aad, ct) xor E_K(J0).
 Bytes software_tag(ByteView key, ByteView nonce, ByteView ciphertext,
                    ByteView aad) {

@@ -603,3 +603,272 @@ TEST(Ed25519, UndecodableAndNonCanonicalRAgreeAcrossSingleAndBatch) {
 
 }  // namespace
 }  // namespace vnfsgx::crypto
+
+// ---------------------------------------------------------------------------
+// Held verifying keys: the 16x8 table path must give exactly the verdict of
+// the one-off Straus path on every input, valid or not.
+// ---------------------------------------------------------------------------
+namespace vnfsgx::crypto {
+namespace {
+
+using Encoded = std::array<std::uint8_t, 32>;
+
+Encoded encoded_from_hex(std::string_view h) {
+  const Bytes b = from_hex(h);
+  Encoded e{};
+  std::copy(b.begin(), b.end(), e.begin());
+  return e;
+}
+
+// The one-off verdict, after checking the held key gives the same one.
+bool held_matches_one_off(const Ed25519VerifyingKey& key, ByteView message,
+                          ByteView signature) {
+  const bool one_off = ed25519_verify(key.public_key(), message, signature);
+  EXPECT_EQ(key.verify(message, signature), one_off)
+      << "key " << to_hex(key.public_key()) << " sig " << to_hex(signature);
+  return one_off;
+}
+
+// A canonical scalar (< L) from random bytes.
+Encoded random_scalar(DeterministicRandom& rng) {
+  return detail::scalar_reduce(rng.bytes(64));
+}
+
+Ed25519Signature signature_of(const Encoded& r, const Encoded& s) {
+  Ed25519Signature sig{};
+  std::copy(r.begin(), r.end(), sig.begin());
+  std::copy(s.begin(), s.end(), sig.begin() + 32);
+  return sig;
+}
+
+// The 8 points of the torsion subgroup, canonically encoded: the identity,
+// the point of order 2, two of order 4 and four of order 8.
+std::vector<Encoded> torsion_points() {
+  return {
+      encoded_from_hex("01000000000000000000000000000000"
+                       "00000000000000000000000000000000"),
+      encoded_from_hex("ecffffffffffffffffffffffffffffff"
+                       "ffffffffffffffffffffffffffffff7f"),
+      encoded_from_hex("00000000000000000000000000000000"
+                       "00000000000000000000000000000000"),
+      encoded_from_hex("00000000000000000000000000000000"
+                       "00000000000000000000000000000080"),
+      encoded_from_hex("26e8958fc2b227b045c3f489f2ef98f0"
+                       "d5dfac05d3c63339b13802886d53fc05"),
+      encoded_from_hex("26e8958fc2b227b045c3f489f2ef98f0"
+                       "d5dfac05d3c63339b13802886d53fc85"),
+      encoded_from_hex("c7176a703d4dd84fba3c0b760d10670f"
+                       "2a2053fa2c39ccc64ec7fd7792ac037a"),
+      encoded_from_hex("c7176a703d4dd84fba3c0b760d10670f"
+                       "2a2053fa2c39ccc64ec7fd7792ac03fa"),
+  };
+}
+
+TEST(Ed25519VerifyingKey, Rfc8032VectorsAndEveryBitFlipMatchOneOff) {
+  struct Vector {
+    const char* pub;
+    const char* msg;
+    const char* sig;
+  };
+  const Vector vectors[] = {
+      {"d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a", "",
+       "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+       "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
+      {"3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c", "72",
+       "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+       "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
+      {"fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+       "af82",
+       "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+       "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
+  };
+  for (const Vector& v : vectors) {
+    const auto key =
+        Ed25519VerifyingKey::from_public_key(encoded_from_hex(v.pub));
+    ASSERT_TRUE(key);
+    EXPECT_EQ(to_hex(key->public_key()), v.pub);
+    const Bytes msg = from_hex(v.msg);
+    const Bytes sig = from_hex(v.sig);
+    EXPECT_TRUE(held_matches_one_off(*key, msg, sig));
+    // A copy shares the table and verifies alike.
+    const Ed25519VerifyingKey copy = *key;
+    EXPECT_TRUE(copy.verify(msg, sig));
+    for (std::size_t bit = 0; bit < 8 * sig.size(); ++bit) {
+      Bytes bad = sig;
+      bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      EXPECT_FALSE(held_matches_one_off(*key, msg, bad)) << "bit " << bit;
+    }
+    Bytes longer = msg;
+    longer.push_back(0);
+    EXPECT_FALSE(held_matches_one_off(*key, longer, sig));
+    EXPECT_FALSE(held_matches_one_off(*key, msg, ByteView(sig).first(63)));
+  }
+}
+
+// 1,000 random keys: the valid signature, a tampered message, a tampered R
+// and a tampered s (which may leave s non-canonical).
+TEST(Ed25519VerifyingKey, RandomKeysAndTamperedInputsMatchOneOff) {
+  DeterministicRandom rng(0x4e1d);
+  for (int i = 0; i < 1000; ++i) {
+    const Ed25519SigningKey signer = Ed25519SigningKey::generate(rng);
+    const auto key = Ed25519VerifyingKey::from_public_key(signer.public_key());
+    ASSERT_TRUE(key);
+    const Bytes msg = rng.bytes(static_cast<std::size_t>(i) % 131);
+    const auto sig = signer.sign(msg);
+    ASSERT_TRUE(held_matches_one_off(*key, msg, sig)) << "iteration " << i;
+
+    Bytes other = msg;
+    if (other.empty()) other.push_back(0);
+    other[static_cast<std::size_t>(i) % other.size()] ^= 0x20;
+    ASSERT_FALSE(held_matches_one_off(*key, other, sig)) << "iteration " << i;
+
+    auto bad_r = sig;
+    bad_r[static_cast<std::size_t>(i) % 32] ^=
+        static_cast<std::uint8_t>(1u << (i % 8));
+    ASSERT_FALSE(held_matches_one_off(*key, msg, bad_r)) << "iteration " << i;
+
+    auto bad_s = sig;
+    bad_s[32 + static_cast<std::size_t>(i) % 32] ^=
+        static_cast<std::uint8_t>(1u << (i % 8));
+    ASSERT_FALSE(held_matches_one_off(*key, msg, bad_s)) << "iteration " << i;
+  }
+}
+
+TEST(Ed25519VerifyingKey, NonCanonicalSAndBadRMatchOneOff) {
+  DeterministicRandom rng(0x5ca1);
+  const Ed25519SigningKey signer = Ed25519SigningKey::generate(rng);
+  const auto key = Ed25519VerifyingKey::from_public_key(signer.public_key());
+  ASSERT_TRUE(key);
+  const Bytes l_le = from_hex(
+      "edd3f55c1a631258d69cf7a2def9de14"
+      "00000000000000000000000000000010");
+  for (int i = 0; i < 64; ++i) {
+    const Bytes msg = rng.bytes(40);
+    const auto sig = signer.sign(msg);
+    // s + L: the same residue, non-canonical.
+    auto plus_l = sig;
+    unsigned carry = 0;
+    for (std::size_t b = 0; b < 32; ++b) {
+      const unsigned v = plus_l[32 + b] + l_le[b] + carry;
+      plus_l[32 + b] = static_cast<std::uint8_t>(v);
+      carry = v >> 8;
+    }
+    EXPECT_FALSE(held_matches_one_off(*key, msg, plus_l));
+    // s = L exactly, and s with the top bits set.
+    auto s_is_l = sig;
+    std::copy(l_le.begin(), l_le.end(), s_is_l.begin() + 32);
+    EXPECT_FALSE(held_matches_one_off(*key, msg, s_is_l));
+    auto top = sig;
+    top[63] |= 0xe0;
+    EXPECT_FALSE(held_matches_one_off(*key, msg, top));
+    // R replaced by random bytes (about half do not decode) and by the
+    // non-canonical spelling y = p + 1 of the identity.
+    auto random_r = sig;
+    rng.fill(std::span<std::uint8_t>(random_r.data(), 32));
+    EXPECT_FALSE(held_matches_one_off(*key, msg, random_r));
+  }
+
+  // The identity as a (weak) key: s = 0 and R = identity verifies; R's
+  // non-canonical spellings (y = p + 1, x = 0 with the sign bit) do not.
+  Encoded identity{};
+  identity[0] = 1;
+  const auto weak = Ed25519VerifyingKey::from_public_key(identity);
+  ASSERT_TRUE(weak);
+  const Bytes msg = to_bytes("weak key");
+  Encoded r = identity;
+  EXPECT_TRUE(held_matches_one_off(*weak, msg, signature_of(r, Encoded{})));
+  r.fill(0xff);
+  r[0] = 0xee;
+  r[31] = 0x7f;
+  EXPECT_FALSE(held_matches_one_off(*weak, msg, signature_of(r, Encoded{})));
+  r = identity;
+  r[31] = 0x80;
+  EXPECT_FALSE(held_matches_one_off(*weak, msg, signature_of(r, Encoded{})));
+}
+
+// Small-order keys (the 8 torsion points) and mixed-order keys (a random
+// point plus a torsion point). R = s·B + T' verifies exactly when
+// k·A = T', which depends on k mod 8, so both verdicts occur.
+TEST(Ed25519VerifyingKey, SmallAndMixedOrderKeysMatchOneOff) {
+  const std::vector<Encoded> torsion = torsion_points();
+  const Encoded& identity = torsion[0];
+  for (const Encoded& t : torsion) {
+    // 8·T is the identity.
+    auto p = detail::point_add_encoded(t, t);
+    ASSERT_TRUE(p) << to_hex(t);
+    p = detail::point_add_encoded(*p, *p);
+    p = detail::point_add_encoded(*p, *p);
+    EXPECT_EQ(*p, identity) << to_hex(t);
+  }
+
+  DeterministicRandom rng(0x70e5);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto tally = [&](bool ok) { ++(ok ? accepted : rejected); };
+  for (const Encoded& t : torsion) {
+    const auto small = Ed25519VerifyingKey::from_public_key(t);
+    ASSERT_TRUE(small) << to_hex(t);
+    for (int i = 0; i < 24; ++i) {
+      const Bytes msg = rng.bytes(16);
+      const Encoded s = random_scalar(rng);
+      const Encoded sb = detail::base_mul_windowed(s);
+      const Encoded& t2 = torsion[static_cast<std::size_t>(i) % 8];
+      const auto r = detail::point_add_encoded(sb, t2);
+      ASSERT_TRUE(r);
+      tally(held_matches_one_off(*small, msg, signature_of(*r, s)));
+    }
+
+    // Mixed order: A' = A + T under a signature made for A.
+    const Ed25519SigningKey signer = Ed25519SigningKey::generate(rng);
+    const auto mixed_pk = detail::point_add_encoded(signer.public_key(), t);
+    ASSERT_TRUE(mixed_pk);
+    const auto mixed = Ed25519VerifyingKey::from_public_key(*mixed_pk);
+    ASSERT_TRUE(mixed);
+    for (int i = 0; i < 24; ++i) {
+      const Bytes msg = rng.bytes(16);
+      const auto sig = signer.sign(msg);
+      tally(held_matches_one_off(*mixed, msg, sig));
+      // And a signature whose R absorbs a torsion component.
+      const Encoded s = random_scalar(rng);
+      const auto r =
+          detail::point_add_encoded(detail::base_mul_windowed(s),
+                                    torsion[static_cast<std::size_t>(i) % 8]);
+      ASSERT_TRUE(r);
+      tally(held_matches_one_off(*mixed, msg, signature_of(*r, s)));
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// A key that does not decode gives no object; the one-off path rejects
+// every signature under it.
+TEST(Ed25519VerifyingKey, UndecodableKeyGivesNoObject) {
+  DeterministicRandom rng(0xbad);
+  const Ed25519SigningKey signer = Ed25519SigningKey::generate(rng);
+  const Bytes msg = to_bytes("msg");
+  const auto sig = signer.sign(msg);
+
+  std::vector<Encoded> bad;
+  Encoded y_is_p_plus_1{};  // non-canonical y
+  y_is_p_plus_1.fill(0xff);
+  y_is_p_plus_1[0] = 0xee;
+  y_is_p_plus_1[31] = 0x7f;
+  bad.push_back(y_is_p_plus_1);
+  Encoded negative_zero_x{};  // y = 1 (x = 0) with the sign bit set
+  negative_zero_x[0] = 1;
+  negative_zero_x[31] = 0x80;
+  bad.push_back(negative_zero_x);
+  while (bad.size() < 16) {  // random y with no x on the curve
+    Encoded e;
+    rng.fill(e);
+    if (!detail::point_add_encoded(e, e)) bad.push_back(e);
+  }
+  for (const Encoded& pk : bad) {
+    EXPECT_FALSE(Ed25519VerifyingKey::from_public_key(pk)) << to_hex(pk);
+    EXPECT_FALSE(ed25519_verify(pk, msg, sig)) << to_hex(pk);
+  }
+}
+
+}  // namespace
+}  // namespace vnfsgx::crypto

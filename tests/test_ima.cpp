@@ -247,15 +247,17 @@ TEST(TpmTest, QuoteVerifiesAndBindsNonce) {
   std::array<std::uint8_t, 32> nonce{};
   nonce[0] = 0x55;
   const TpmQuote quote = tpm.quote(10, nonce);
-  EXPECT_TRUE(quote.verify(tpm.aik_public_key()));
+  const auto aik =
+      crypto::Ed25519VerifyingKey::from_public_key(tpm.aik_public_key()).value();
+  EXPECT_TRUE(quote.verify(aik));
   EXPECT_EQ(quote.pcr_value, tpm.read(10));
   EXPECT_EQ(quote.nonce, nonce);
 
   // Round trip + tamper detection.
   TpmQuote decoded = TpmQuote::decode(quote.encode());
-  EXPECT_TRUE(decoded.verify(tpm.aik_public_key()));
+  EXPECT_TRUE(decoded.verify(aik));
   decoded.pcr_value[0] ^= 1;
-  EXPECT_FALSE(decoded.verify(tpm.aik_public_key()));
+  EXPECT_FALSE(decoded.verify(aik));
 }
 
 TEST(TpmTest, QuoteFromOtherTpmRejected) {
@@ -263,7 +265,9 @@ TEST(TpmTest, QuoteFromOtherTpmRejected) {
   Tpm real(rng), rogue(rng);
   std::array<std::uint8_t, 32> nonce{};
   const TpmQuote quote = rogue.quote(10, nonce);
-  EXPECT_FALSE(quote.verify(real.aik_public_key()));
+  EXPECT_FALSE(quote.verify(
+      crypto::Ed25519VerifyingKey::from_public_key(real.aik_public_key())
+          .value()));
 }
 
 TEST(TpmTest, ImaExtendsPcr10InLockstepWithAggregate) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "common/sim_clock.h"
@@ -204,7 +205,10 @@ TEST_F(PkiFixture, CrlEncodingRoundTrip) {
   const RevocationList crl = ca_.current_crl();
   const RevocationList decoded = RevocationList::decode(crl.encode());
   EXPECT_EQ(decoded.revoked_serials, (std::vector<std::uint64_t>{5, 9}));
-  EXPECT_TRUE(decoded.verify_signature(ca_.root_certificate().public_key));
+  EXPECT_TRUE(decoded.verify_signature(
+      crypto::Ed25519VerifyingKey::from_public_key(
+          ca_.root_certificate().public_key)
+          .value()));
   EXPECT_TRUE(decoded.is_revoked(5));
   EXPECT_FALSE(decoded.is_revoked(6));
 }
@@ -613,7 +617,10 @@ TEST_F(CacheFixture, CrlBinarySearchMatchesLinear) {
   // Round-trips keep sortedness; hand-built unsorted lists stay correct.
   const RevocationList decoded = RevocationList::decode(crl.encode());
   EXPECT_TRUE(decoded.serials_sorted);
-  EXPECT_TRUE(decoded.verify_signature(ca_.root_certificate().public_key));
+  EXPECT_TRUE(decoded.verify_signature(
+      crypto::Ed25519VerifyingKey::from_public_key(
+          ca_.root_certificate().public_key)
+          .value()));
   RevocationList unsorted = crl;
   unsorted.serials_sorted = false;
   std::reverse(unsorted.revoked_serials.begin(),
@@ -621,6 +628,50 @@ TEST_F(CacheFixture, CrlBinarySearchMatchesLinear) {
   for (const std::uint64_t s : {5u, 40u, 800u, 12345u}) {
     EXPECT_TRUE(unsorted.is_revoked(s)) << s;
   }
+}
+
+TEST_F(CacheFixture, BatchRevokeMatchesOneByOne) {
+  // A twin CA (same seed, same clock) revokes the same serials one at a
+  // time. Ed25519 is deterministic, so the CRLs must be byte-identical:
+  // same serial set, each serial once, same signature. The batches cover
+  // duplicates, out-of-order serials, serials already revoked, a pure
+  // append and an empty batch.
+  DeterministicRandom twin_rng(42);
+  CertificateAuthority twin(DistinguishedName{"verification-manager", "RISE"},
+                            twin_rng, clock_);
+  ASSERT_EQ(twin.root_certificate(), ca_.root_certificate());
+  TrustStore store;
+  store.add_root(ca_.root_certificate());
+  const auto root_key = crypto::Ed25519VerifyingKey::from_public_key(
+                            ca_.root_certificate().public_key)
+                            .value();
+  const std::vector<std::vector<std::uint64_t>> batches = {
+      {50, 7, 50, 300, 7, 1, 120},
+      {300, 400, 2, 500, 400, 51},
+      {900, 901},
+      {},
+      {901, 1, 7},
+  };
+  std::set<std::uint64_t> expected;
+  for (const auto& batch : batches) {
+    const RevocationList batched = ca_.revoke(batch);
+    RevocationList single = twin.current_crl();
+    for (const std::uint64_t serial : batch) single = twin.revoke(serial);
+    expected.insert(batch.begin(), batch.end());
+
+    EXPECT_EQ(batched.revoked_serials,
+              std::vector<std::uint64_t>(expected.begin(), expected.end()));
+    EXPECT_EQ(batched.revoked_serials, single.revoked_serials);
+    EXPECT_TRUE(batched.serials_sorted);
+    EXPECT_EQ(batched.encode(), single.encode());
+    EXPECT_TRUE(batched.verify_signature(root_key));
+    EXPECT_TRUE(
+        RevocationList::decode(batched.encode()).verify_signature(root_key));
+    EXPECT_NO_THROW(store.set_crl(batched));
+    EXPECT_EQ(ca_.current_crl().encode(), batched.encode());
+  }
+  EXPECT_TRUE(store.serial_revoked(51));
+  EXPECT_FALSE(store.serial_revoked(52));
 }
 
 TEST_F(CacheFixture, OutOfOrderRevocationStillSignsCorrectly) {
@@ -631,9 +682,11 @@ TEST_F(CacheFixture, OutOfOrderRevocationStillSignsCorrectly) {
   const RevocationList crl = ca_.revoke(50);
   EXPECT_TRUE(crl.serials_sorted);
   EXPECT_EQ(crl.revoked_serials, (std::vector<std::uint64_t>{7, 50, 100}));
-  EXPECT_TRUE(crl.verify_signature(ca_.root_certificate().public_key));
-  EXPECT_TRUE(RevocationList::decode(crl.encode())
-                  .verify_signature(ca_.root_certificate().public_key));
+  const auto root_key = crypto::Ed25519VerifyingKey::from_public_key(
+                            ca_.root_certificate().public_key)
+                            .value();
+  EXPECT_TRUE(crl.verify_signature(root_key));
+  EXPECT_TRUE(RevocationList::decode(crl.encode()).verify_signature(root_key));
 }
 
 }  // namespace

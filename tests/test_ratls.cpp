@@ -422,9 +422,10 @@ class RatlsNegativeFixture : public RatlsFixture {
   VerifierPolicy crafted_policy() {
     VerifierPolicy p;
     p.attestation_key = [this](const sgx::PlatformId& id)
-        -> std::optional<crypto::Ed25519PublicKey> {
+        -> std::optional<crypto::Ed25519VerifyingKey> {
       if (id != platform_id_) return std::nullopt;
-      return attestation_.public_key;
+      return crypto::Ed25519VerifyingKey::from_public_key(
+          attestation_.public_key);
     };
     p.enclave_allowed = [this](const sgx::Measurement& m) {
       return m == mr_enclave_;

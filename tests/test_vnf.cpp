@@ -10,6 +10,7 @@
 #include "http/client.h"
 #include "http/server.h"
 #include "net/inmemory.h"
+#include "obs/metrics.h"
 #include "pki/ca.h"
 #include "pki/truststore.h"
 #include "tls/session.h"
@@ -173,6 +174,129 @@ TEST_F(VnfFixture, InEnclaveTlsTalksToServer) {
   EXPECT_EQ(to_string(vnf.credentials().tls_recv(16)), "ping");
   vnf.credentials().tls_close();
   server.join();
+}
+
+// ---------------------------------------------------------------------------
+// The credential enclave keeps its trust store across sessions and rebuilds
+// it only when the CA root changes. The server side here asks for no client
+// certificate, so the enclave's store is the only certificate-validation
+// cache a handshake touches.
+// ---------------------------------------------------------------------------
+
+std::uint64_t cert_validation(const char* result) {
+  return obs::registry()
+      .counter("vnfsgx_cache_requests_total",
+               {{"cache", "cert_validation"}, {"result", result}},
+               "Generational cache lookups by outcome")
+      .value();
+}
+
+class KeptTrustStoreFixture : public VnfFixture {
+ protected:
+  KeptTrustStoreFixture() : vnf_(make_vnf("vnf-1")) {
+    const auto pub = vnf_.credentials().generate_key();
+    vnf_.credentials().install_certificate(
+        ca_.issue({"vnf-1", ""}, pub,
+                  static_cast<std::uint8_t>(pki::KeyUsage::kClientAuth)));
+  }
+
+  struct ServerIdentity {
+    pki::Certificate cert;
+    crypto::Ed25519KeyPair key;
+  };
+
+  ServerIdentity controller_identity(pki::CertificateAuthority& ca,
+                                     std::int64_t validity = 24 * 3600) {
+    ServerIdentity id;
+    id.key = crypto::ed25519_generate(rng_);
+    id.cert = ca.issue({"controller", ""}, id.key.public_key,
+                       static_cast<std::uint8_t>(pki::KeyUsage::kServerAuth),
+                       validity);
+    return id;
+  }
+
+  /// One session: the enclave opens at `now` with `ca_root` against a
+  /// server presenting `server`, then echoes a ping. True when the
+  /// enclave's handshake (and the echo) succeeded.
+  bool session(const ServerIdentity& server, const pki::Certificate& ca_root,
+               UnixTime now) {
+    auto [client_end, server_end] = net::make_pipe();
+    std::thread peer([&, s = std::move(server_end)]() mutable {
+      tls::Config cfg;
+      cfg.certificate = server.cert;
+      cfg.signer = tls::Config::software_signer(server.key.seed);
+      cfg.clock = &clock_;
+      cfg.rng = &server_rng_;
+      try {
+        auto tls = tls::Session::accept(std::move(s), cfg);
+        tls->write(tls->read_exact(4));
+        tls->close();
+      } catch (const std::exception&) {
+        // The enclave refused the handshake and dropped the stream.
+      }
+    });
+    bool ok = false;
+    try {
+      vnf_.credentials().tls_open(std::move(client_end), now, "controller",
+                                  ca_root);
+      vnf_.credentials().tls_send(to_bytes("ping"));
+      ok = to_string(vnf_.credentials().tls_recv(16)) == "ping";
+      vnf_.credentials().tls_close();
+    } catch (const std::exception&) {
+      ok = false;
+    }
+    peer.join();
+    return ok;
+  }
+
+  DeterministicRandom server_rng_{77};
+  Vnf vnf_;
+};
+
+TEST_F(KeptTrustStoreFixture, SameRootReusesTheStore) {
+  const ServerIdentity server = controller_identity(ca_);
+  const std::uint64_t misses0 = cert_validation("miss");
+  ASSERT_TRUE(session(server, ca_.root_certificate(), clock_.now()));
+  EXPECT_EQ(cert_validation("miss"), misses0 + 1);
+
+  // The second session finds the controller certificate's verdict in the
+  // store the first one built: a hit, and no new miss.
+  const std::uint64_t hits1 = cert_validation("hit");
+  const std::uint64_t misses1 = cert_validation("miss");
+  ASSERT_TRUE(session(server, ca_.root_certificate(), clock_.now() + 60));
+  EXPECT_EQ(cert_validation("hit"), hits1 + 1);
+  EXPECT_EQ(cert_validation("miss"), misses1);
+}
+
+TEST_F(KeptTrustStoreFixture, NewRootRebuildsTheStore) {
+  pki::CertificateAuthority other_ca(pki::DistinguishedName{"other-ca", ""},
+                                     rng_, clock_);
+  const ServerIdentity old_server = controller_identity(ca_);
+  const ServerIdentity new_server = controller_identity(other_ca);
+  ASSERT_TRUE(session(old_server, ca_.root_certificate(), clock_.now()));
+
+  // Handed the other CA's root, the enclave no longer trusts the first
+  // CA: the certificate it accepted (and cached) a session ago is refused.
+  EXPECT_FALSE(session(old_server, other_ca.root_certificate(), clock_.now()));
+  EXPECT_TRUE(session(new_server, other_ca.root_certificate(), clock_.now()));
+  EXPECT_FALSE(session(old_server, other_ca.root_certificate(), clock_.now()));
+
+  // And back: the first root again trusts only its own certificates.
+  EXPECT_TRUE(session(old_server, ca_.root_certificate(), clock_.now()));
+  EXPECT_FALSE(session(new_server, ca_.root_certificate(), clock_.now()));
+}
+
+TEST_F(KeptTrustStoreFixture, CachedVerdictRechecksTheValidityWindow) {
+  const ServerIdentity server = controller_identity(ca_, /*validity=*/3600);
+  ASSERT_TRUE(session(server, ca_.root_certificate(), clock_.now()));
+
+  // Two hours on, the cached verdict is found but the window is applied at
+  // the new session's `now`: the expired certificate is refused.
+  const std::uint64_t hits0 = cert_validation("hit");
+  EXPECT_FALSE(session(server, ca_.root_certificate(), clock_.now() + 7200));
+  EXPECT_EQ(cert_validation("hit"), hits0 + 1);
+  // Back inside the window it is accepted again.
+  EXPECT_TRUE(session(server, ca_.root_certificate(), clock_.now() + 60));
 }
 
 TEST_F(VnfFixture, TlsOpenRequiresCertificate) {
