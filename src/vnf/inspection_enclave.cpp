@@ -156,12 +156,13 @@ class InspectionEnclaveLogic final : public sgx::TrustedLogic {
       throw Error("inspection enclave: refusing to install empty rule set");
     }
     auto matcher = std::make_unique<RuleMatcher>(rules);
-    {
-      std::unique_lock<std::shared_mutex> lk(rules_mutex_);
-      matcher_ = std::move(matcher);
-      rules_ = std::move(rules);
-    }
-    clear_flows();  // verdicts cached under the old rules are stale
+    std::unique_lock<std::shared_mutex> lk(rules_mutex_);
+    matcher_ = std::move(matcher);
+    rules_ = std::move(rules);
+    // Verdicts cached under the old rules are stale. Clearing them in the
+    // same exclusive section (lock order rules -> shard, as inspect_frame)
+    // means no worker can serve a sticky drop naming a replaced rule.
+    clear_flows();
   }
 
   void clear_flows() {

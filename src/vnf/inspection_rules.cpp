@@ -98,7 +98,10 @@ RuleMatcher::RuleMatcher(const RuleSet& rules) : rules_(rules.rules()) {
   // any table memory exists.
   std::vector<const Bytes*> sorted;
   sorted.reserve(rules_.size());
-  for (const InspectionRule& rule : rules_) sorted.push_back(&rule.pattern);
+  for (const InspectionRule& rule : rules_) {
+    sorted.push_back(&rule.pattern);
+    overlap_ = std::max(overlap_, rule.pattern.size() - 1);  // never empty
+  }
   // Lexicographic order via mismatch: GCC 12 false-positives
   // (-Wstringop-overread) on the memcmp behind vector's operator<=>.
   std::sort(sorted.begin(), sorted.end(), [](const Bytes* a, const Bytes* b) {
@@ -189,6 +192,43 @@ RuleMatcher::RuleMatcher(const RuleSet& rules) : rules_(rules.rules()) {
   }
 }
 
+// Lane 0 walks bytes [0, warm + stride). Lane j > 0 starts at the root on
+// byte j * stride and owns [warm + j * stride, warm + (j + 1) * stride)
+// once its `warm` warm-up bytes are behind it. The last lane then walks the
+// remainder, fewer than Lanes bytes, on its own.
+template <std::size_t Lanes, typename Report>
+void RuleMatcher::walk(ByteView payload, Report&& report) const {
+  const std::size_t warm = Lanes == 1 ? 0 : overlap_;
+  const std::size_t stride = (payload.size() - warm) / Lanes;
+  const std::uint8_t* const bytes = payload.data();
+  const std::uint32_t* const table = table_.data();
+  std::array<std::uint32_t, Lanes> state{};
+  const auto step = [&](std::size_t at) {
+    for (std::size_t j = 0; j < Lanes; ++j) {
+      state[j] = table[state[j] + class_of_[bytes[j * stride + at]]];
+    }
+  };
+  for (std::size_t at = 0; at < warm; ++at) {
+    step(at);
+    if (state[0] >= first_output_) report(state[0]);
+  }
+  for (std::size_t at = warm; at < warm + stride; ++at) {
+    step(at);
+    std::uint32_t top = state[0];
+    for (std::size_t j = 1; j < Lanes; ++j) top = std::max(top, state[j]);
+    if (top >= first_output_) {
+      for (const std::uint32_t s : state) {
+        if (s >= first_output_) report(s);
+      }
+    }
+  }
+  std::uint32_t last = state[Lanes - 1];
+  for (std::size_t at = warm + Lanes * stride; at < payload.size(); ++at) {
+    last = table[last + class_of_[bytes[at]]];
+    if (last >= first_output_) report(last);
+  }
+}
+
 std::optional<std::size_t> RuleMatcher::match(ByteView payload,
                                               std::uint16_t dst_port,
                                               std::uint8_t proto) const {
@@ -211,16 +251,16 @@ std::optional<std::size_t> RuleMatcher::match(ByteView payload,
     }
   };
 
-  const std::uint32_t* const table = table_.data();
-  std::uint32_t state = 0;
-  for (const std::uint8_t byte : payload) {
-    state = table[state + class_of_[byte]];
-    if (state >= first_output_) {
-      const std::size_t k = (state - first_output_) / classes_;
-      for (std::uint32_t i = output_begin_[k]; i < output_begin_[k + 1]; ++i) {
-        consider(outputs_[i]);
-      }
+  const auto report = [&](std::uint32_t state) {
+    const std::size_t k = (state - first_output_) / classes_;
+    for (std::uint32_t i = output_begin_[k]; i < output_begin_[k + 1]; ++i) {
+      consider(outputs_[i]);
     }
+  };
+  if (payload.size() < kLanes * (overlap_ + 1)) {
+    walk<1>(payload, report);
+  } else {
+    walk<kLanes>(payload, report);
   }
   return best;
 }

@@ -61,8 +61,7 @@ class RuleSet {
 };
 
 /// Aho-Corasick automaton over a RuleSet, compiled to a dense DFA: one pass
-/// over the payload finds every pattern hit regardless of rule count, at one
-/// class load, one table load and one compare per byte.
+/// over the payload finds every pattern hit regardless of rule count.
 ///
 /// Layout: bytes map to classes (class 0 is every byte that occurs in no
 /// pattern). `table_` holds one row of `classes_` entries per state, and
@@ -70,6 +69,25 @@ class RuleSet {
 /// walk never multiplies. States are numbered so that every state with
 /// outputs comes last: offset >= `first_output_` means "a pattern ends
 /// here", and only then are the flattened `outputs_` consulted.
+///
+/// Walk: a lone DFA walk is one chain of dependent loads (each step's
+/// table load waits on the one before), so a long payload is cut into
+/// kLanes consecutive chunks walked in lock-step, kLanes independent loads
+/// in flight per step. This is exact because the DFA state after any byte
+/// is the longest suffix of the input so far that is a trie prefix, and
+/// that suffix is never longer than the longest pattern. A lane that starts
+/// at the root `overlap_` (longest pattern - 1) bytes before its chunk
+/// therefore holds the serial walk's state from its chunk's first byte on.
+/// Only lane 0 (which starts at byte 0) reports during those warm-up
+/// bytes, the last lane finishes the remainder of the division alone, and
+/// since `match` picks its hit under a total order, the order in which
+/// lanes report cannot change the verdict. Per step there is one test,
+/// max(lane states) >= first_output_; the per-lane output walk runs only
+/// when it fires. A payload shorter than kLanes x the longest pattern takes
+/// the same walk with one lane.
+///
+/// The walk is data-dependent (which table rows it loads, and when it
+/// consults the outputs), so it is not constant-time in the payload.
 class RuleMatcher {
  public:
   /// Upper bound on the transition table (states x classes x 4 B). Rule
@@ -87,6 +105,10 @@ class RuleMatcher {
   std::optional<std::size_t> match(ByteView payload, std::uint16_t dst_port,
                                    std::uint8_t proto) const;
 
+  /// Lanes interleaved on a payload of at least kLanes x the longest
+  /// pattern (BM_RuleMatcherScan: 6 lanes are slower, 8 no better).
+  static constexpr std::size_t kLanes = 4;
+
   /// Bytes held by the transition table (states x classes x 4).
   std::size_t table_bytes() const {
     return table_.size() * sizeof(std::uint32_t);
@@ -102,6 +124,10 @@ class RuleMatcher {
   // outputs_[output_begin_[k] .. output_begin_[k + 1]).
   std::vector<std::uint32_t> output_begin_;
   std::vector<std::uint32_t> outputs_;
+  std::size_t overlap_ = 0;  // longest pattern - 1: a lane's warm-up
+
+  template <std::size_t Lanes, typename Report>
+  void walk(ByteView payload, Report&& report) const;
 };
 
 }  // namespace vnfsgx::vnf

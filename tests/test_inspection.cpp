@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <thread>
 
 #include "crypto/random.h"
 #include "dataplane/fabric.h"
@@ -285,6 +287,103 @@ TEST(InspectionRulesTest, MatcherAgreesWithNaiveOracle) {
   // The generator must exercise both outcomes, not just one.
   EXPECT_GT(hits, cases / 10);
   EXPECT_LT(hits, cases * 9 / 10);
+}
+
+/// Where RuleMatcher's lane walk hands a payload of `size` bytes from one
+/// lane to the next: the first byte each lane j > 0 owns, then the first
+/// byte of the remainder tail. Empty when the payload takes one lane.
+std::vector<std::size_t> lane_boundaries(std::size_t overlap,
+                                         std::size_t size) {
+  constexpr std::size_t kLanes = RuleMatcher::kLanes;
+  if (size < kLanes * (overlap + 1)) return {};
+  const std::size_t stride = (size - overlap) / kLanes;
+  std::vector<std::size_t> boundaries;
+  for (std::size_t j = 1; j <= kLanes; ++j) {
+    boundaries.push_back(overlap + j * stride);
+  }
+  return boundaries;
+}
+
+TEST(InspectionRulesTest, LaneBoundariesAgreeWithNaiveOracle) {
+  RuleSet mixed;
+  mixed.add(make_rule("long", "abcabcabcabcabcab"));  // overlap 16
+  mixed.add(make_rule("mid", "cabc", RuleAction::kAlert));
+  // Planting "abcc" makes all three of these end on the same byte.
+  mixed.add(make_rule("same-end-alert", "abcc", RuleAction::kAlert));
+  InspectionRule web = make_rule("same-end-web", "bcc");
+  web.dst_port = 80;
+  web.proto = 6;
+  mixed.add(web);
+  mixed.add(make_rule("same-end-short", "cc", RuleAction::kAlert));
+  RuleSet single;  // 1-byte patterns only: overlap 0, no warm-up
+  single.add(make_rule("c", "c"));
+  single.add(make_rule("d", "d", RuleAction::kAlert));
+
+  std::size_t cases = 0, hits = 0, mismatches = 0;
+  std::string first_mismatch;
+  for (const RuleSet* rules : {&mixed, &single}) {
+    const RuleMatcher matcher(*rules);
+    std::size_t longest = 0;
+    for (const InspectionRule& rule : rules->rules()) {
+      longest = std::max(longest, rule.pattern.size());
+    }
+    const std::size_t overlap = longest - 1;
+    const std::size_t lanes_from = RuleMatcher::kLanes * longest;
+    std::vector<std::size_t> sizes(2 * lanes_from + RuleMatcher::kLanes + 1);
+    std::iota(sizes.begin(), sizes.end(), std::size_t{0});
+    sizes.insert(sizes.end(), {576, 1500, kMaxInlineFramePayload});
+
+    for (const std::size_t size : sizes) {
+      // 'a', 'b' and 'x' complete no pattern; 'a' and 'b' keep the
+      // automaton off its root.
+      Bytes background(size);
+      for (std::size_t i = 0; i < size; ++i) background[i] = "abx"[i % 3];
+      const auto check = [&](const Bytes& payload, const std::string& what) {
+        for (const auto& [port, proto] :
+             {std::pair<std::uint16_t, std::uint8_t>{80, 6}, {443, 17}}) {
+          const auto expected = naive_match(*rules, payload, port, proto);
+          ++cases;
+          hits += expected.has_value();
+          if (matcher.match(payload, port, proto) != expected) {
+            if (mismatches++ == 0) {
+              first_mismatch = what + " in " + std::to_string(size) +
+                               " bytes, port " + std::to_string(port);
+            }
+          }
+        }
+      };
+      check(background, "no plant");
+
+      // One lane: every offset. Lanes: each boundary's window.
+      std::vector<std::size_t> starts;
+      const std::vector<std::size_t> boundaries =
+          lane_boundaries(overlap, size);
+      if (boundaries.empty()) {
+        starts.resize(size + 1);
+        std::iota(starts.begin(), starts.end(), std::size_t{0});
+      }
+      for (const std::size_t b : boundaries) {
+        for (std::size_t at = b - std::min(b, overlap + 1); at <= b + 1; ++at) {
+          starts.push_back(at);
+        }
+      }
+      for (const InspectionRule& rule : rules->rules()) {
+        for (const std::size_t at : starts) {
+          if (at >= size) continue;
+          // Cut at the payload's end, so a pattern longer than the payload
+          // (or running past it) is planted as a prefix that must not hit.
+          Bytes payload = background;
+          const std::size_t n = std::min(rule.pattern.size(), size - at);
+          std::copy_n(rule.pattern.begin(), n,
+                      payload.begin() + static_cast<std::ptrdiff_t>(at));
+          check(payload, "'" + rule.name + "' at " + std::to_string(at));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+  EXPECT_GT(hits, cases / 4);
+  EXPECT_LT(hits, cases);
 }
 
 TEST(InspectionRulesTest, MatcherEdgeCases) {
@@ -686,6 +785,62 @@ TEST_F(InspectionFixture, StickyDropConsistentAcrossRings) {
     EXPECT_EQ(outcome.rule, "exploit-shell");
   }
   EXPECT_GE(client.flow_stats().cache_hits, 8u);
+}
+
+TEST_F(InspectionFixture, InstallNeverServesAStaleStickyDrop) {
+  // Generation k installs drop "drop-k" and alert "probe-k". A worker
+  // thread poisons a flow, learns the installed generation from an alert,
+  // then sends a clean frame on the poisoned flow. Its cached drop must
+  // name that generation or a later one: the probe's verdict came back
+  // first, so the clean frame was inspected under its rule set or a newer
+  // one, and a newer install clears the flows as it swaps the rules.
+  const auto generation = [](int k) {
+    RuleSet rules;
+    rules.add(make_rule("drop-" + std::to_string(k), "ATTACK"));
+    rules.add(make_rule("probe-" + std::to_string(k), "PROBE",
+                        RuleAction::kAlert));
+    return rules;
+  };
+  const auto generation_of = [](const std::string& rule) {
+    return std::stoi(rule.substr(rule.find('-') + 1));
+  };
+  InspectionClient::Options options;
+  options.mode = InspectionClient::Mode::kSwitchless;
+  options.rings = 2;
+  InspectionClient client(load(), options);
+  client.load_rules(generation(0));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds{0};
+  std::atomic<int> stale{0};
+  std::thread worker([&] {
+    const dp::Packet attack = make_packet("..ATTACK..", 80, 0x0a000a01);
+    const dp::Packet clean = make_packet("harmless", 80, 0x0a000a01);
+    const dp::Packet probe = make_packet("PROBE", 80, 0x0a000a02);
+    while (!stop.load()) {
+      client.inspect(attack, 1);
+      const int installed = generation_of(client.inspect(probe, 1).rule);
+      const dp::InspectionOutcome cached = client.inspect(clean, 1);
+      if (cached.verdict == dp::InspectVerdict::kDrop &&
+          generation_of(cached.rule) < installed) {
+        stale.fetch_add(1);
+      }
+      rounds.fetch_add(1);
+    }
+  });
+  // Keep installing until the worker has run enough rounds to overlap them.
+  while (rounds.load() == 0) std::this_thread::yield();
+  for (int k = 1; k <= 200 || rounds.load() < 500; ++k) {
+    client.load_rules(generation(k));
+  }
+  stop.store(true);
+  worker.join();
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_GT(rounds.load(), 0);
+  // The worker's last round left the flow poisoned; an install clears it.
+  client.load_rules(generation(0));
+  EXPECT_EQ(client.inspect(make_packet("harmless", 80, 0x0a000a01), 1).verdict,
+            dp::InspectVerdict::kForward);
 }
 
 TEST_F(InspectionFixture, OversizedFrameFailsClosed) {
